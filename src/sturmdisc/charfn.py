@@ -245,28 +245,3 @@ def f_bracket_ray(
     base = ScaledVal(prob_b.h - prob_a.h, 0.0)  # bracket at x=0
     return res.integrals[0] + base
 
-
-def f_derivatives(
-    prob_a: Problem,
-    prob_b: Problem,
-    lam: complex,
-    kmax: int,
-    *,
-    rtol: float = RTOL,
-    atol: float = ATOL,
-) -> list[ScaledVal]:
-    """``[F(lam), F'(lam), ..., F^(kmax)(lam)]`` via the chain solves."""
-
-    sol_a = solve_chain(prob_a, lam, nu_max=kmax, side="left", rtol=rtol, atol=atol)
-    sol_b = solve_chain(prob_b, lam, nu_max=kmax, side="left", rtol=rtol, atol=atol)
-    za = sol_a.end_state
-    zb = sol_b.end_state
-    log = sol_a.end_logscale + sol_b.end_logscale
-    out = []
-    for k in range(kmax + 1):
-        total = 0.0 + 0.0j
-        for i in range(k + 1):
-            j = k - i
-            total += za[i, 0] * zb[j, 1] - za[i, 1] * zb[j, 0]
-        out.append(ScaledVal(math.factorial(k) * total, log))
-    return out

@@ -564,9 +564,5 @@ class PotentialExpr:
         pts = [p.lo for p in self.pieces] + [self.length]
         return pts
 
-    @property
-    def is_polynomial(self) -> bool:
-        return all(as_polynomial(p.node) is not None for p in self.pieces)
-
     def __repr__(self) -> str:
         return f"PotentialExpr({self.to_spec()!r})"

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,6 +43,7 @@ from .problem import Problem
 
 RTOL = 1e-10
 ATOL = 1e-12
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +64,21 @@ class ScaledVal:
 
     @property
     def value(self) -> complex:
-        return self.val * math.exp(self.log) if self.val != 0 else 0.0
+        """The plain complex number; ``OverflowError`` if it exceeds a float."""
+
+        a = abs(self.val)
+        if a == 0:
+            return 0.0
+        total = self.log + math.log(a)
+        if total > _LOG_MAX:
+            raise OverflowError(
+                f"|value| = exp({total:.6g}) exceeds the float range "
+                f"(log scale {self.log:.6g})"
+            )
+        if self.log < _LOG_MAX:
+            return self.val * math.exp(self.log)
+        # the scale alone overflows but the product does not
+        return (self.val / a) * math.exp(total)
 
     @property
     def log_abs(self) -> float:
@@ -308,46 +324,45 @@ def solve_many(
     lams: np.ndarray,
     *,
     side: str = "left",
+    nu_max: int = 0,
     rtol: float = 1e-9,
     atol: float = 1e-11,
 ):
-    """Base solution for a batch of lambda values in a single integration.
+    """Solution chain for a batch of lambda values in a single integration.
 
-    Returns ``(states, logs)`` where ``states`` has shape ``(n, 2)`` holding
-    the scaled ``(y, y')`` at the far end and ``logs`` the per-lambda scale
-    exponents.  Used by the zero-counting machinery where many
-    characteristic-function samples are needed at once.
+    Returns ``(states, logs)`` where ``logs`` holds the per-lambda scale
+    exponents and ``states`` the scaled far-end values: shape ``(n, 2)``
+    with ``(y, y')`` for ``nu_max=0``, and ``(n, nu_max+1, 2)`` with the
+    chain members of :func:`solve_chain` otherwise.  The batch shares one
+    step sequence and scipy's error norm is the RMS over all components,
+    so a caller that needs each lambda within the single-solve error budget
+    divides ``rtol`` and ``atol`` by ``sqrt(n)``.  No dense output is built.
     """
 
     lams = np.asarray(lams, dtype=complex)
     mus = np.abs(np.sqrt(lams).imag)
+    z = np.zeros((lams.size, nu_max + 1, 2), dtype=complex)
     if side == "left":
         a, b = 0.0, math.pi
-        init = np.empty((lams.size, 2), dtype=complex)
-        init[:, 0] = 1.0
-        init[:, 1] = problem.h
+        z[:, 0] = (1.0, problem.h)
     else:
         a, b = math.pi, 0.0
-        init = np.empty((lams.size, 2), dtype=complex)
-        if problem.dirichlet:
-            init[:, 0] = 0.0
-            init[:, 1] = 1.0
-        else:
-            init[:, 0] = 1.0
-            init[:, 1] = -problem.H
+        z[:, 0] = (0.0, 1.0) if problem.dirichlet else (1.0, -problem.H)
     direction = 1.0 if b >= a else -1.0
-    mu_signed = direction * mus
+    mu_signed = (direction * mus)[:, None]
+    lam_col = lams[:, None]
     qx = problem.q
     path = _ordered_breaks(a, b, [problem.d] + qx.breakpoints())
-    z = init.copy()
     for lo, hi in zip(path, path[1:]):
         qfn = qx.piece_fn(min(lo, hi), max(lo, hi))
 
         def rhs(x, flat, qfn=qfn):
-            zz = flat.reshape(-1, 2)
+            zz = flat.reshape(-1, nu_max + 1, 2)
             out = np.empty_like(zz)
-            out[:, 0] = zz[:, 1] - mu_signed * zz[:, 0]
-            out[:, 1] = (qfn(x) - lams) * zz[:, 0] - mu_signed * zz[:, 1]
+            out[..., 0] = zz[..., 1] - mu_signed * zz[..., 0]
+            out[..., 1] = (qfn(x) - lam_col) * zz[..., 0] - mu_signed * zz[..., 1]
+            if nu_max:
+                out[:, 1:, 1] -= zz[:, :-1, 0]
             return out.ravel()
 
         sol = solve_ivp(
@@ -355,13 +370,13 @@ def solve_many(
         )
         if not sol.success:
             raise RuntimeError(f"integration failed on [{lo}, {hi}]: {sol.message}")
-        z = sol.y[:, -1].reshape(-1, 2).copy()
+        z = sol.y[:, -1].reshape(-1, nu_max + 1, 2).copy()
         if abs(hi - problem.d) < 1e-12 and abs(hi - b) > 1e-12:
             if direction > 0:
                 z = jump_forward(z, problem.beta, problem.gamma)
             else:
                 z = jump_backward(z, problem.beta, problem.gamma)
-    return z, mus * math.pi
+    return (z[:, 0] if nu_max == 0 else z), mus * math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,32 @@
-"""Eigenvalue location by argument-principle counting plus Newton polish.
+"""Eigenvalue location by argument-principle counting plus batched Newton.
 
 ``delta`` is entire of order 1/2, so a rectangle count via the winding
 number of its boundary values is exact once the boundary sampling resolves
-the phase (every step below pi/2).  Rectangles are subdivided until each
-leaf holds an isolated cluster, Newton iteration (using the chain
-derivative, no finite differences) pins the root, and a small-circle
-winding count gives the algebraic multiplicity.  The counting pass uses
-relaxed integrator tolerances and batched solves; only the polish runs at
-full precision.
+the phase (every step below pi/2).  A search runs in three phases:
+
+1. The strip is sliced and rectangles are subdivided until each leaf holds
+   an isolated cluster; this counting pass uses relaxed integrator
+   tolerances and batched solves (:func:`delta_many`).
+2. Newton rounds polish one start point of every unresolved leaf together:
+   each round integrates the chain ``(phi, d phi/d lam)`` for all of them
+   in one vectorized solve per tolerance level, so the derivative is exact
+   and no dense output is built.  Each lambda stops on its own rules.
+3. A root is accepted when it lies in its leaf and is new; in a leaf that
+   holds more than one zero a small-circle winding count gives its
+   algebraic multiplicity, and multiple roots get a second, step-scaled
+   polish.  Leaves still unresolved after all start points are split and
+   go back to phase 2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .charfn import char_delta, delta_many
+from .ode import solve_many
 from .problem import Problem
 
 _PHASE_LIMIT = 0.5 * math.pi
@@ -67,12 +76,6 @@ class ZeroSequence:
 
     def __len__(self):
         return len(self.zeros)
-
-
-def counting_function(seq: ZeroSequence, t: float) -> int:
-    """Number of zeros with ``|lam| <= t`` counted with multiplicity."""
-
-    return seq.counting(t)
 
 
 # ---------------------------------------------------------------------------
@@ -227,39 +230,86 @@ def _problem_batch(problem: Problem, rtol=1e-8, atol=1e-10):
     return f_batch
 
 
-def _newton(problem: Problem, lam0: complex, *, mult_hint: int = 1, maxit: int = 60):
-    """Newton iteration on ``delta`` with the chain derivative.
+# (coarse stage?, rtol, atol, step size that ends the stage relative to 1+|lam|)
+_NEWTON_STAGES = ((True, 1e-7, 1e-9, 1e-5), (False, 1e-11, 1e-13, 5e-13))
 
-    Runs at relaxed integrator tolerance until the step is small, then
-    polishes with tight tolerance; ``mult_hint`` scales the step for known
-    multiple roots (plain Newton is only linearly convergent there).
+
+def _polish(problem: Problem, starts, mults=None, *, maxit: int = 60):
+    """Newton iteration on ``delta`` from every start at once.
+
+    Each round integrates the chain ``(phi, d phi/d lam)`` for all active
+    lambda in one :func:`solve_many` call per tolerance level, so the
+    derivative is exact (no finite differences).  Every lambda follows the
+    single-root rules on its own: steps at relaxed tolerance until the step
+    is small, then at most two polish steps at tight tolerance.  ``mults``
+    scales the step of known multiple roots, where plain Newton is only
+    linearly convergent.  Tolerances are divided by ``sqrt(n)`` so that each
+    lambda of an ``n``-batch stays within the error budget of a lone solve.
+
+    Returns the final lambda and ``|delta / delta'|`` of the last sample.
     """
 
-    lam = complex(lam0)
-    m = max(1, mult_hint)
-    last_step = math.inf
-    coarse = True
-    polish_left = 2
-    sample = None
-    for _ in range(maxit):
-        if coarse:
-            sample = char_delta(problem, lam, nu_max=1, rtol=1e-7, atol=1e-9)
-        else:
-            sample = char_delta(problem, lam, nu_max=1, rtol=1e-11, atol=1e-13)
-        d0, d1 = sample.ddelta[0], sample.ddelta[1]
-        if d1.val == 0:
-            break
-        step = (d0 / d1).value
-        lam = lam - m * step
-        last_step = abs(step)
-        if coarse:
-            if last_step < 1e-5 * (1.0 + abs(lam)):
-                coarse = False
-        else:
-            polish_left -= 1
-            if last_step < 5e-13 * (1.0 + abs(lam)) or polish_left <= 0:
-                break
-    return lam, last_step, sample
+    lam = np.array(starts, dtype=complex)
+    m = np.ones(lam.size) if mults is None else np.asarray(mults, dtype=float)
+    coarse = np.ones(lam.size, dtype=bool)
+    polish_left = np.full(lam.size, 2)
+    evals = np.zeros(lam.size, dtype=int)
+    residual = np.full(lam.size, math.inf)
+    active = np.ones(lam.size, dtype=bool)
+    while active.any():
+        for stage_coarse, rtol, atol, stop in _NEWTON_STAGES:
+            idx = np.flatnonzero(active & (coarse == stage_coarse))
+            if idx.size == 0:
+                continue
+            shrink = math.sqrt(idx.size)
+            states, _ = solve_many(
+                problem, lam[idx], nu_max=1, rtol=rtol / shrink, atol=atol / shrink
+            )
+            if problem.dirichlet:
+                d = -states[:, :, 0]
+            else:
+                d = states[:, :, 1] + problem.H * states[:, :, 0]
+            evals[idx] += 1
+            flat = d[:, 1] == 0
+            active[idx[flat]] = False
+            idx, d = idx[~flat], d[~flat]
+            step = d[:, 0] / d[:, 1]
+            lam[idx] -= m[idx] * step
+            residual[idx] = np.abs(step)
+            small = residual[idx] < stop * (1.0 + np.abs(lam[idx]))
+            if stage_coarse:
+                coarse[idx[small]] = False
+            else:
+                polish_left[idx] -= 1
+                active[idx[small | (polish_left[idx] <= 0)]] = False
+            active &= evals < maxit
+    return lam, residual
+
+
+@dataclass(eq=False)
+class _Leaf:
+    """A search rectangle whose winding count is small enough for Newton."""
+
+    rect: tuple
+    count: int
+    depth: int
+
+    def contains(self, z: complex, margin: float) -> bool:
+        re_lo, re_hi, im_lo, im_hi = self.rect
+        return (
+            re_lo - margin <= z.real <= re_hi + margin
+            and im_lo - margin <= z.imag <= im_hi + margin
+        )
+
+    def start(self, k: int) -> complex:
+        """The ``k``-th Newton start point."""
+
+        re_lo, re_hi, im_lo, im_hi = self.rect
+        fx, fy = _START_FRACTIONS[k]
+        return complex(re_lo + fx * (re_hi - re_lo), im_lo + fy * (im_hi - im_lo))
+
+
+_START_FRACTIONS = ((0.5, 0.5), (0.3, 0.3), (0.7, 0.62))
 
 
 def find_eigenvalues(
@@ -270,13 +320,16 @@ def find_eigenvalues(
     leaf_size: float = 2.0,
     count_rtol: float = 3e-7,
 ) -> list[EigenRecord]:
-    """All eigenvalues with ``|lam| < modulus_bound``, with multiplicities.
+    """Eigenvalues with ``|lam| < modulus_bound`` and ``|Im lam| <=
+    im_halfwidth``, with multiplicities.
 
-    The search strip is ``[-B - margin, B + margin] x [-c, c]``; eigenvalues
-    of the problems treated here lie in a horizontal strip, so the default
-    half-width is generous for moderate data.  The total leaf count is
-    reconciled against the outer-rectangle winding count, so dropped or
-    doubled roots are detected rather than silently returned.
+    The search box is ``[-B - margin, B + margin] x [-c, c]`` with ``c =
+    min(im_halfwidth, B + 1)``; eigenvalues of the problems treated here lie
+    in a horizontal strip, but one outside the strip (large complex ``h``,
+    ``H`` or ``gamma`` can put one there) is not found and not reported.
+    Inside the box the total leaf count is reconciled against the
+    outer-rectangle winding count, so dropped or doubled roots are detected
+    rather than silently returned.
     """
 
     B = float(modulus_bound)
@@ -326,119 +379,128 @@ def find_eigenvalues(
             f"slice counts {sum(counts)} disagree with outer count {total}"
         )
 
-    roots: list[tuple[complex, int]] = []
+    def split(rect, count):
+        """Halve ``rect`` across its longer side, nudging the cut off zeros."""
 
-    def subdivide(rect, count, depth=0):
-        if count == 0:
-            return
         re_lo, re_hi, im_lo, im_hi = rect
-        w, hgt = re_hi - re_lo, im_hi - im_lo
-        if count <= 3 or max(w, hgt) <= leaf_size or depth > 40:
-            if _resolve_leaf(rect, count):
-                return
-            if max(w, hgt) <= 1e-3 or depth > 40:
-                raise RuntimeError(
-                    f"leaf {rect}: could not resolve {count} zeros"
-                )
-            # fall through and keep splitting this box
-        if w >= hgt:
-            mid = re_lo + w * 0.5
-            jitter = 1.9e-3 * w
-            for off in (0.0, jitter, -jitter, 2.7 * jitter):
-                try:
-                    r1 = (re_lo, mid + off, im_lo, im_hi)
-                    r2 = (mid + off, re_hi, im_lo, im_hi)
-                    c1 = count_zeros(cache, r1)
-                    c2 = count_zeros(cache, r2)
-                    break
-                except ZeroOnContour:
-                    continue
+        across_re = re_hi - re_lo >= im_hi - im_lo
+        lo, span = (re_lo, re_hi - re_lo) if across_re else (im_lo, im_hi - im_lo)
+        mid = lo + span * 0.5
+        jitter = 1.9e-3 * span
+        for off in (0.0, jitter, -jitter, 2.7 * jitter):
+            cut = mid + off
+            if across_re:
+                r1, r2 = (re_lo, cut, im_lo, im_hi), (cut, re_hi, im_lo, im_hi)
             else:
-                raise RuntimeError("subdivision kept hitting zeros on contours")
+                r1, r2 = (re_lo, re_hi, im_lo, cut), (re_lo, re_hi, cut, im_hi)
+            try:
+                c1 = count_zeros(cache, r1)
+                c2 = count_zeros(cache, r2)
+                break
+            except ZeroOnContour:
+                continue
         else:
-            mid = im_lo + hgt * 0.5
-            jitter = 1.9e-3 * hgt
-            for off in (0.0, jitter, -jitter, 2.7 * jitter):
-                try:
-                    r1 = (re_lo, re_hi, im_lo, mid + off)
-                    r2 = (re_lo, re_hi, mid + off, im_hi)
-                    c1 = count_zeros(cache, r1)
-                    c2 = count_zeros(cache, r2)
-                    break
-                except ZeroOnContour:
-                    continue
-            else:
-                raise RuntimeError("subdivision kept hitting zeros on contours")
+            raise RuntimeError("subdivision kept hitting zeros on contours")
         if c1 + c2 != count:
             raise RuntimeError(
                 f"winding counts inconsistent: {count} != {c1}+{c2} on {rect}"
             )
-        subdivide(r1, c1, depth + 1)
-        subdivide(r2, c2, depth + 1)
+        return (r1, c1), (r2, c2)
 
-    def _resolve_leaf(rect, count) -> bool:
-        re_lo, re_hi, im_lo, im_hi = rect
-        margin = 1e-7 * (1.0 + max(re_hi - re_lo, im_hi - im_lo))
+    pending: list[_Leaf] = []
 
-        def inside(z):
-            return (
-                re_lo - margin <= z.real <= re_hi + margin
-                and im_lo - margin <= z.imag <= im_hi + margin
-            )
-
-        found_here = sum(
-            m
-            for r, m, _ in roots
-            if re_lo - 1e-9 <= r.real <= re_hi + 1e-9
-            and im_lo - 1e-9 <= r.imag <= im_hi + 1e-9
-        )
-        starts = [
-            complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi)),
-            complex(re_lo + 0.3 * (re_hi - re_lo), im_lo + 0.3 * (im_hi - im_lo)),
-            complex(re_lo + 0.7 * (re_hi - re_lo), im_lo + 0.62 * (im_hi - im_lo)),
-        ]
-        for start in starts:
-            if found_here >= count:
-                break
-            lam, _, sample = _newton(problem, start)
-            if not inside(lam):
-                continue
-            if any(abs(lam - r) < 2e-5 * (1 + abs(lam)) for r, _, _ in roots):
-                continue
-            if count == 1:
-                # the leaf winding already pins the zero order
-                mult = 1
-            else:
-                radius = min(0.02 * (1 + abs(lam)) ** 0.25, 0.45 * leaf_size)
-                try:
-                    mult = multiplicity_probe(cache, lam, radius, check_shrink=False)
-                except ZeroOnContour:
-                    mult = multiplicity_probe(
-                        cache, lam, radius * 1.37, check_shrink=False
-                    )
-                if mult == 0:
-                    continue
-            if mult > 1:
-                lam, _, sample = _newton(problem, lam, mult_hint=mult, maxit=10)
-            roots.append((lam, mult, sample))
-            found_here += mult
-        return found_here == count
+    def subdivide(rect, count, depth=0):
+        if count == 0:
+            return
+        w, hgt = rect[1] - rect[0], rect[3] - rect[2]
+        if count <= 3 or max(w, hgt) <= leaf_size or depth > 40:
+            pending.append(_Leaf(rect, count, depth))
+            return
+        for half, cnt in split(rect, count):
+            subdivide(half, cnt, depth + 1)
 
     for (a, b), cnt in zip(zip(cuts[:-1], cuts[1:]), counts):
         subdivide((a, b, outer[2], outer[3]), cnt)
 
+    roots: list[list] = []  # [lam, mult, residual, owning leaf]
+
+    def found(leaf):
+        return sum(
+            m
+            for lam, m, _, owner in roots
+            if owner is leaf or leaf.contains(lam, 1e-9)
+        )
+
+    def accept(leaf, lam, residual):
+        """Record a Newton result that lands in ``leaf``; return the root
+        if it still needs a multiple-root polish."""
+
+        re_lo, re_hi, im_lo, im_hi = leaf.rect
+        if not leaf.contains(lam, 1e-7 * (1.0 + max(re_hi - re_lo, im_hi - im_lo))):
+            return None
+        if any(abs(lam - r[0]) < 2e-5 * (1 + abs(lam)) for r in roots):
+            return None
+        if leaf.count == 1:
+            # the leaf winding already pins the zero order
+            mult = 1
+        else:
+            radius = min(0.02 * (1 + abs(lam)) ** 0.25, 0.45 * leaf_size)
+            try:
+                mult = multiplicity_probe(cache, lam, radius, check_shrink=False)
+            except ZeroOnContour:
+                mult = multiplicity_probe(cache, lam, radius * 1.37, check_shrink=False)
+            if mult == 0:
+                return None
+        root = [lam, mult, residual, leaf]
+        roots.append(root)
+        return root if mult > 1 else None
+
+    # Every Newton round polishes one start of each unresolved leaf in one
+    # batched solve; leaves still unresolved after all starts are split.
+    while pending:
+        for k in range(len(_START_FRACTIONS)):
+            todo = [leaf for leaf in pending if found(leaf) < leaf.count]
+            if not todo:
+                break
+            lams, residuals = _polish(problem, [leaf.start(k) for leaf in todo])
+            multiple = []
+            for leaf, lam, residual in zip(todo, lams, residuals):
+                if found(leaf) < leaf.count:
+                    root = accept(leaf, lam, residual)
+                    if root is not None:
+                        multiple.append(root)
+            if multiple:
+                lams, _ = _polish(
+                    problem,
+                    [r[0] for r in multiple],
+                    [r[1] for r in multiple],
+                    maxit=10,
+                )
+                for root, lam in zip(multiple, lams):
+                    root[0] = lam
+        unresolved = [leaf for leaf in pending if found(leaf) != leaf.count]
+        pending = []
+        for leaf in unresolved:
+            re_lo, re_hi, im_lo, im_hi = leaf.rect
+            if max(re_hi - re_lo, im_hi - im_lo) <= 1e-3 or leaf.depth > 40:
+                raise RuntimeError(
+                    f"leaf {leaf.rect}: could not resolve {leaf.count} zeros"
+                )
+            for half, cnt in split(leaf.rect, leaf.count):
+                subdivide(half, cnt, leaf.depth + 1)
+
     records = []
-    for lam, mult, sample in roots:
+    for lam, mult, residual, _ in roots:
         if abs(lam) >= B:
             continue
-        if mult > 1 or sample is None:
+        if mult > 1:
             sample = char_delta(problem, lam, nu_max=mult)
-        scale = abs(sample.ddelta[mult].val) + 1e-300
-        residual = (abs(sample.delta.val) / scale) ** (1.0 / mult)
+            scale = abs(sample.ddelta[mult].val) + 1e-300
+            residual = (abs(sample.delta.val) / scale) ** (1.0 / mult)
         records.append(EigenRecord(lam=lam, multiplicity=mult, residual=residual))
     records.sort(key=lambda r: (abs(r.lam), r.lam.real))
     total_inside = sum(r.multiplicity for r in records)
-    outside = sum(m for lam, m, _ in roots if abs(lam) >= B)
+    outside = sum(r[1] for r in roots if abs(r[0]) >= B)
     if total_inside + outside != total:
         raise RuntimeError("lost track of zeros during refinement")
     return records

@@ -158,6 +158,24 @@ class TestProductCommand:
         assert main(["product", "--config", cfg]) == 2
         assert "computation failed" in capsys.readouterr().err
 
+    def test_far_ray_overflow_is_compute_error(self, tmp_path, capsys):
+        # |delta(1e6 i)| ~ exp(2221) has no float value
+        cfg = write_config(
+            tmp_path,
+            {
+                "problems": {"p": {"q": "1", "h": 0, "H": 0}},
+                "product": {
+                    "problem": "p",
+                    "zeros": [n * n + 1 for n in range(20)],
+                    "lambdas": [[0, 1e6]],
+                },
+            },
+        )
+        assert main(["product", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "OverflowError" in err
+        assert "log scale" in err
+
 
 class TestValidationErrors:
     def test_missing_file(self, capsys):

@@ -34,6 +34,16 @@ class TestScaledVal:
         v = ScaledVal(2.0 + 1.0j, 3.0)
         assert v.value == pytest.approx((2 + 1j) * math.exp(3.0), rel=1e-15)
 
+    def test_value_folds_magnitude_into_scale(self):
+        # exp(715) alone overflows a float, 1e-5 * exp(715) does not
+        v = ScaledVal(-1e-5j, 715.0)
+        want = -1e-5j * math.exp(700.0) * math.exp(15.0)
+        assert v.value == pytest.approx(want, rel=1e-12)
+
+    def test_value_overflow_names_log_scale(self):
+        with pytest.raises(OverflowError, match="log scale 2221"):
+            ScaledVal(0.5, 2221.0).value
+
     def test_product_adds_logs(self):
         a = ScaledVal(2.0, 100.0)
         b = ScaledVal(3.0, 200.0)

@@ -5,14 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmdisc.charfn import char_delta
 from sturmdisc.expr import PotentialExpr
 from sturmdisc.problem import Problem
 from sturmdisc.spectrum import (
     ZeroSequence,
+    _polish,
     count_zeros,
-    counting_function,
     find_dirichlet_eigenvalues,
     find_eigenvalues,
     multiplicity_probe,
@@ -130,17 +132,112 @@ class TestComplexPotential:
 class TestZeroSequence:
     def test_counting_function(self):
         seq = ZeroSequence(np.array([1.0, 4.0, 9.0]), np.array([1, 2, 1]))
-        assert counting_function(seq, 0.5) == 0
-        assert counting_function(seq, 4.0) == 3
-        assert counting_function(seq, 100.0) == 4
+        assert seq.counting(0.5) == 0
+        assert seq.counting(4.0) == 3
+        assert seq.counting(100.0) == 4
 
     def test_merge(self):
         a = ZeroSequence(np.array([1.0]), np.array([1]))
         b = ZeroSequence(np.array([2.0]), np.array([3]))
         merged = a.merged(b)
-        assert counting_function(merged, 10.0) == 4
+        assert merged.counting(10.0) == 4
 
     def test_from_records(self):
         records = find_eigenvalues(free(), 20.0)
         seq = ZeroSequence.from_records(records)
-        assert counting_function(seq, 20.0) == len(records)
+        assert seq.counting(20.0) == len(records)
+
+
+def scalar_newton(problem, lam0, mult=1, maxit=60):
+    """One-root Newton loop on ``char_delta``: the reference for the batched
+    polish, under the same stopping rules."""
+
+    lam = complex(lam0)
+    coarse, polish_left = True, 2
+    for _ in range(maxit):
+        tol = (1e-7, 1e-9) if coarse else (1e-11, 1e-13)
+        sample = char_delta(problem, lam, nu_max=1, rtol=tol[0], atol=tol[1])
+        d0, d1 = sample.ddelta[0], sample.ddelta[1]
+        if d1.val == 0:
+            break
+        step = (d0 / d1).value
+        lam -= mult * step
+        if coarse:
+            coarse = abs(step) >= 1e-5 * (1.0 + abs(lam))
+        else:
+            polish_left -= 1
+            if abs(step) < 5e-13 * (1.0 + abs(lam)) or polish_left <= 0:
+                break
+    return lam
+
+
+@st.composite
+def polish_cases(draw):
+    c = draw(st.floats(-0.5, 0.5))
+    if draw(st.booleans()):
+        problem = Problem(q=PotentialExpr.parse(repr(c)))
+    else:
+        problem = Problem(
+            q=PotentialExpr.parse(repr(c)),
+            h=draw(st.floats(-0.5, 0.5)),
+            H=draw(st.floats(-0.5, 0.5)),
+            beta=draw(st.floats(0.6, 1.8)),
+            gamma=complex(draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.3, 0.3))),
+            d=draw(st.floats(0.9, 2.2)),
+        )
+    ns = draw(st.lists(st.integers(0, 18), min_size=1, max_size=5, unique=True))
+    offsets = [
+        complex(draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2))) for _ in ns
+    ]
+    return problem, [n * n for n in ns], offsets
+
+
+class TestBatchedPolish:
+    @given(polish_cases())
+    @settings(max_examples=8, deadline=None)
+    def test_agrees_with_scalar_newton(self, case):
+        problem, guesses, offsets = case
+        # start both near a root, well inside its basin
+        roots, _ = _polish(problem, guesses)
+        starts = [r + off for r, off in zip(roots, offsets)]
+        batched, residuals = _polish(problem, starts)
+        for start, lam, res in zip(starts, batched, residuals):
+            want = scalar_newton(problem, start)
+            assert abs(lam - want) <= 1e-9 * max(1.0, abs(want))
+            assert res < 1e-8 * (1.0 + abs(lam))
+
+    def test_multiplicity_hint(self):
+        # delta = -(lam - 4) sin(sqrt(lam) pi) / sqrt(lam): a double zero at 4
+        p = free(h=2j, H=-2j)
+        starts = [4.3 + 0.2j, 3.8 - 0.1j]
+        got, _ = _polish(p, starts, [2, 2], maxit=10)
+        for start, lam in zip(starts, got):
+            assert abs(lam - 4.0) < 1e-6
+            assert abs(lam - scalar_newton(p, start, mult=2, maxit=10)) < 1e-6
+
+
+class TestMultipleEigenvalue:
+    def test_double_root_among_simple_ones(self):
+        records = find_eigenvalues(free(h=2j, H=-2j), 30.0)
+        by_mult = {}
+        for r in records:
+            by_mult.setdefault(r.multiplicity, []).append(r.lam)
+        assert sorted(by_mult) == [1, 2]
+        (double,) = by_mult[2]
+        assert abs(double - 4.0) < 1e-6
+        simple = sorted(by_mult[1], key=lambda z: z.real)
+        assert len(simple) == 4
+        for lam, want in zip(simple, (1.0, 9.0, 16.0, 25.0)):
+            assert abs(lam - want) < 1e-8
+
+
+class TestSearchBox:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the search box is clipped to |Im lam| <= im_halfwidth, so an "
+        "eigenvalue with |lam| < B outside that strip is missed",
+    )
+    def test_finds_eigenvalue_far_off_the_real_axis(self):
+        # lam = -h^2 = 28 - 96i is an eigenvalue with |lam| = 100
+        records = find_eigenvalues(free(h=-6 - 8j), 150.0)
+        assert min(abs(r.lam - (28 - 96j)) for r in records) < 1e-6
