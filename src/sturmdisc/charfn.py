@@ -55,6 +55,18 @@ class CharSample:
     dphi_end: ScaledVal
 
 
+def _deltas(problem: Problem, states: np.ndarray):
+    """``(delta^(j), delta_inf^(j))`` for ``j = 0..nu_max`` from end states
+    ``states[..., j, (y, y')]`` of the ``phi`` chain, whose members are
+    ``phi^(j) / j!``; the one place the Robin/Dirichlet formulas live."""
+
+    fact = np.array([math.factorial(j) for j in range(states.shape[-2])], dtype=float)
+    d_inf = -fact * states[..., 0]
+    if problem.dirichlet:
+        return d_inf, d_inf
+    return fact * (states[..., 1] + problem.H * states[..., 0]), d_inf
+
+
 def char_delta(
     problem: Problem,
     lam: complex,
@@ -66,20 +78,11 @@ def char_delta(
     """Evaluate ``delta`` and ``delta_inf`` (and lam-derivatives up to order
     ``nu_max``) at ``lam`` via one chain solve of ``phi``."""
 
-    sol = solve_chain(problem, lam, nu_max=nu_max, side="left", rtol=rtol, atol=atol)
-    z = sol.end_state
-    log = sol.end_logscale
-    ddelta = []
-    ddelta_inf = []
-    for j in range(nu_max + 1):
-        fact = math.factorial(j)
-        d_inf = ScaledVal(-fact * z[j, 0], log)
-        if problem.dirichlet:
-            d_own = d_inf
-        else:
-            d_own = ScaledVal(fact * (z[j, 1] + problem.H * z[j, 0]), log)
-        ddelta.append(d_own)
-        ddelta_inf.append(d_inf)
+    states, logs = solve_many(problem, [lam], nu_max=nu_max, rtol=rtol, atol=atol)
+    z, log = states[0], float(logs[0])
+    d, d_inf = _deltas(problem, z)
+    ddelta = [ScaledVal(v, log) for v in d]
+    ddelta_inf = [ScaledVal(v, log) for v in d_inf]
     return CharSample(
         lam=lam,
         delta=ddelta[0],
@@ -105,14 +108,9 @@ def delta_many(
     batch, which is what makes contour sampling affordable.
     """
 
-    lams = np.asarray(lams, dtype=complex)
-    states, logs = solve_many(problem, lams, side="left", rtol=rtol, atol=atol)
-    vals_inf = -states[:, 0]
-    if problem.dirichlet:
-        vals = vals_inf.copy()
-    else:
-        vals = states[:, 1] + problem.H * states[:, 0]
-    return vals, vals_inf, logs
+    states, logs = solve_many(problem, lams, rtol=rtol, atol=atol)
+    vals, vals_inf = _deltas(problem, states)
+    return vals[:, 0], vals_inf[:, 0], logs
 
 
 def weyl_m(problem: Problem, lam: complex, *, rtol: float = RTOL, atol: float = ATOL) -> complex:
@@ -130,9 +128,9 @@ def delta_consistency(problem: Problem, lam: complex) -> float:
     ``delta`` (``V(phi)`` versus ``-U(psi)``); an integrator diagnostic."""
 
     left = char_delta(problem, lam).delta
-    psi = solve_chain(problem, lam, side="right")
-    z = psi.end_state
-    right = ScaledVal(-(z[0, 1] - problem.h * z[0, 0]), psi.end_logscale)
+    states, logs = solve_many(problem, [lam], side="right", rtol=RTOL, atol=ATOL)
+    z = states[0]
+    right = ScaledVal(-(z[0, 1] - problem.h * z[0, 0]), float(logs[0]))
     diff = left - right
     ref = max(left.log_abs, right.log_abs)
     if ref == -math.inf:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import char_delta
-from .ode import ChainSolution, solve_chain
+from .ode import ATOL, RTOL, ChainSolution, solve_chain, solve_many
 from .problem import Problem
 from .spectrum import EigenRecord
 
@@ -67,11 +67,10 @@ def compute_norming(problem: Problem, record: EigenRecord) -> NormingRecord:
 
     m = record.multiplicity
     lam = record.lam
-    phi = solve_chain(problem, lam, nu_max=max(2 * m - 1, 1), side="left")
-    z = phi.end_state
-    scale = math.exp(phi.end_logscale)
+    states, logs = solve_many(problem, [lam], nu_max=m - 1, rtol=RTOL, atol=ATOL)
+    scale = math.exp(logs[0])
     comp = 1 if problem.dirichlet else 0
-    kappas = [complex(z[nu, comp]) * scale for nu in range(m)]
+    kappas = [complex(states[0, nu, comp]) * scale for nu in range(m)]
     psi = solve_chain(problem, lam, nu_max=m - 1, side="right")
     alphas = [
         _chain_product_integral(psi, nu, m - 1) for nu in range(m)

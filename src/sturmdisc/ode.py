@@ -18,13 +18,25 @@ of the base solution; this is how characteristic-function derivatives and
 multiple-eigenvalue data are obtained without finite differencing.
 
 At the discontinuity ``x = d`` the state is pushed through the matching
-conditions (or their inverse when integrating right-to-left).  Bilinear
-integrals of pairs of solutions from two different problems can be
-accumulated inside the same solve (:func:`pair_integrals`); this matters
+conditions (or their inverse when integrating right-to-left).
+
+One private segment walker (``_walk``) advances a batch of lambda through
+the pieces of ``q`` and the jump at ``d``.  :func:`solve_many` runs it on
+a batch and returns end states only; :func:`solve_chain` runs it on one
+lambda and also keeps the per-segment DOP853 dense output, which costs three
+extra RHS stages per step and is built only for callers that read interior
+states (the fundamental pair, the bracket ``F`` at interior points, the
+norming integrals).  Everything that reads only ``x = pi`` or ``x = 0``
+goes through :func:`solve_many`.
+
+Bilinear integrals of pairs of solutions from two different problems are
+accumulated inside their own solve (:func:`pair_integrals`); this matters
 because quantities like ``y*z' - y'*z`` between two nearby problems are
 exponentially smaller than their factors, and accumulating the exact
 integral form avoids the catastrophic cancellation of forming the
-difference afterwards.
+difference afterwards.  That loop stays apart from the walker: it carries
+two problems and bracket accumulators with their own jump term, which the
+walker would have to branch on.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -155,7 +167,7 @@ def jump_backward(state, beta: float, gamma: complex):
 
 
 # ---------------------------------------------------------------------------
-# Single-problem chain solve
+# Chain solves: one segment walker for single and batched lambda
 # ---------------------------------------------------------------------------
 
 
@@ -173,6 +185,7 @@ class _Segment:
     a: float
     b: float
     sol: object  # OdeSolution over [min(a,b), max(a,b)] in x
+    end: np.ndarray  # the integrated state at b, before any jump
 
 
 class ChainSolution:
@@ -195,9 +208,12 @@ class ChainSolution:
 
         At the discontinuity, ``side='-'`` / ``'+'`` select the one-sided
         limits; ``'auto'`` takes whichever segment comes first along the
-        integration direction.
+        integration direction.  At the far end of a segment the integrated
+        state itself is returned, not its interpolant.
         """
 
+        if side not in ("auto", "-", "+"):
+            raise ValueError(f"side must be 'auto', '-' or '+', got {side!r}")
         cands = [
             seg
             for seg in self.segments
@@ -206,153 +222,67 @@ class ChainSolution:
         if not cands:
             raise ValueError(f"x={x} outside solved range")
         seg = cands[0]
-        if side in ("-", "left"):
+        if side == "-":
             for s in cands:
                 if abs(max(s.a, s.b) - x) <= 1e-12:
                     seg = s
                     break
-        elif side in ("+", "right"):
+        elif side == "+":
             for s in cands:
                 if abs(min(s.a, s.b) - x) <= 1e-12:
                     seg = s
                     break
-        z = seg.sol(x)
-        return z.reshape(self.nu_max + 1, 2)
+        if abs(x - seg.b) <= 1e-12:
+            return seg.end.copy()
+        return seg.sol(x).reshape(self.nu_max + 1, 2)
 
     def value(self, x: float, nu: int = 0, deriv: int = 0, side: str = "auto") -> ScaledVal:
         z = self.state(x, side)
         return ScaledVal(complex(z[nu, deriv]), self.logscale(x))
 
     @property
-    def end_state(self) -> np.ndarray:
-        return self.state(self.x_to, side="-" if self.x_to > self.x_from else "+")
-
-    @property
     def end_logscale(self) -> float:
         return self.logscale(self.x_to)
 
 
-def _chain_rhs(qfn: Callable, lam: complex, mu_signed: float, nu_max: int):
-    def rhs(x, z):
-        z = z.reshape(nu_max + 1, 2)
-        out = np.empty_like(z)
-        qv = qfn(x) - lam
-        out[:, 0] = z[:, 1] - mu_signed * z[:, 0]
-        out[:, 1] = qv * z[:, 0] - mu_signed * z[:, 1]
-        if nu_max:
-            out[1:, 1] -= z[:-1, 0]
-        return out.ravel()
+def _start(problem: Problem, side: str, n: int, nu_max: int):
+    """Start states ``(n, nu_max+1, 2)`` and interval of a chain solve.
 
-    return rhs
-
-
-def solve_chain(
-    problem: Problem,
-    lam: complex,
-    *,
-    nu_max: int = 0,
-    side: str = "left",
-    bc: str = "auto",
-    x_from: float | None = None,
-    x_to: float | None = None,
-    init: np.ndarray | None = None,
-    rtol: float = RTOL,
-    atol: float = ATOL,
-) -> ChainSolution:
-    """Integrate the chain across ``[0, pi]`` (or a sub-interval).
-
-    ``side='left'`` starts at 0 from the Robin data ``(1, h)``;
-    ``side='right'`` starts at pi from ``(1, -H)`` (Robin) or ``(0, 1)``
-    (the Dirichlet-normalized solution, also used when ``bc='dirichlet'``).
-    Explicit ``init`` (shape ``(nu_max+1, 2)``) overrides both.
+    ``side='left'`` runs from 0 to pi from the Robin data ``(1, h)`` of
+    ``phi``; ``side='right'`` runs from pi to 0 from ``(1, -H)`` (Robin) or
+    ``(0, 1)`` (the Dirichlet-normalized ``psi``).  The higher chain members
+    start at zero.
     """
 
+    z = np.zeros((n, nu_max + 1, 2), dtype=complex)
     if side == "left":
-        a = 0.0 if x_from is None else x_from
-        b = math.pi if x_to is None else x_to
-        if init is None:
-            init = np.zeros((nu_max + 1, 2), dtype=complex)
-            init[0] = (1.0, problem.h)
-    else:
-        a = math.pi if x_from is None else x_from
-        b = 0.0 if x_to is None else x_to
-        if init is None:
-            init = np.zeros((nu_max + 1, 2), dtype=complex)
-            use_dirichlet = bc == "dirichlet" or (bc == "auto" and problem.dirichlet)
-            init[0] = (0.0, 1.0) if use_dirichlet else (1.0, -problem.H)
-    mu = growth_rate(lam)
-    direction = 1.0 if b >= a else -1.0
-    qx = problem.q
-    path = _ordered_breaks(a, b, [problem.d] + qx.breakpoints())
-    rhs_cache = {}
-    segments = []
-    z = np.asarray(init, dtype=complex).reshape(nu_max + 1, 2).copy()
-    for lo, hi in zip(path, path[1:]):
-        xin, xax = min(lo, hi), max(lo, hi)
-        qfn = qx.piece_fn(xin, xax)
-        key = id(qfn)
-        if key not in rhs_cache:
-            rhs_cache[key] = _chain_rhs(qfn, lam, direction * mu, nu_max)
-        sol = solve_ivp(
-            rhs_cache[key],
-            (lo, hi),
-            z.ravel(),
-            method="DOP853",
-            dense_output=True,
-            rtol=rtol,
-            atol=atol,
-        )
-        if not sol.success:
-            raise RuntimeError(f"integration failed on [{lo}, {hi}]: {sol.message}")
-        segments.append(_Segment(lo, hi, sol.sol))
-        z = sol.y[:, -1].reshape(nu_max + 1, 2).copy()
-        if abs(hi - problem.d) < 1e-12 and abs(hi - b) > 1e-12:
-            if direction > 0:
-                z = jump_forward(z, problem.beta, problem.gamma)
-            else:
-                z = jump_backward(z, problem.beta, problem.gamma)
-    return ChainSolution(problem, lam, nu_max, a, b, segments, mu)
+        z[:, 0] = (1.0, problem.h)
+        return z, 0.0, math.pi
+    if side != "right":
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    z[:, 0] = (0.0, 1.0) if problem.dirichlet else (1.0, -problem.H)
+    return z, math.pi, 0.0
 
 
-# ---------------------------------------------------------------------------
-# Batched solve over many lambda (final state only)
-# ---------------------------------------------------------------------------
+def _walk(problem: Problem, lams, z, a: float, b: float, *, rtol, atol, dense=False):
+    """Advance the chain states ``z`` (shape ``(n, nu_max+1, 2)``, one row
+    per lambda of ``lams``) from ``a`` to ``b``, segment by segment between
+    the breakpoints of ``q`` and ``d``, through the matching at ``d``.
 
-
-def solve_many(
-    problem: Problem,
-    lams: np.ndarray,
-    *,
-    side: str = "left",
-    nu_max: int = 0,
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
-):
-    """Solution chain for a batch of lambda values in a single integration.
-
-    Returns ``(states, logs)`` where ``logs`` holds the per-lambda scale
-    exponents and ``states`` the scaled far-end values: shape ``(n, 2)``
-    with ``(y, y')`` for ``nu_max=0``, and ``(n, nu_max+1, 2)`` with the
-    chain members of :func:`solve_chain` otherwise.  The batch shares one
-    step sequence and scipy's error norm is the RMS over all components,
-    so a caller that needs each lambda within the single-solve error budget
-    divides ``rtol`` and ``atol`` by ``sqrt(n)``.  No dense output is built.
+    Returns ``(z_end, logs, segments)``: the scaled end states, the
+    per-lambda log scales ``mu |b - a|`` and, only with ``dense=True``, the
+    per-segment dense solutions (``None`` otherwise).
     """
 
     lams = np.asarray(lams, dtype=complex)
-    mus = np.abs(np.sqrt(lams).imag)
-    z = np.zeros((lams.size, nu_max + 1, 2), dtype=complex)
-    if side == "left":
-        a, b = 0.0, math.pi
-        z[:, 0] = (1.0, problem.h)
-    else:
-        a, b = math.pi, 0.0
-        z[:, 0] = (0.0, 1.0) if problem.dirichlet else (1.0, -problem.H)
+    nu_max = z.shape[1] - 1
+    mus = np.array([growth_rate(lam) for lam in lams])
     direction = 1.0 if b >= a else -1.0
     mu_signed = (direction * mus)[:, None]
     lam_col = lams[:, None]
     qx = problem.q
     path = _ordered_breaks(a, b, [problem.d] + qx.breakpoints())
+    segments = [] if dense else None
     for lo, hi in zip(path, path[1:]):
         qfn = qx.piece_fn(min(lo, hi), max(lo, hi))
 
@@ -366,17 +296,80 @@ def solve_many(
             return out.ravel()
 
         sol = solve_ivp(
-            rhs, (lo, hi), z.ravel(), method="DOP853", rtol=rtol, atol=atol
+            rhs,
+            (lo, hi),
+            z.ravel(),
+            method="DOP853",
+            dense_output=dense,
+            rtol=rtol,
+            atol=atol,
         )
         if not sol.success:
             raise RuntimeError(f"integration failed on [{lo}, {hi}]: {sol.message}")
-        z = sol.y[:, -1].reshape(-1, nu_max + 1, 2).copy()
+        z = sol.y[:, -1].reshape(z.shape).copy()
+        if dense:
+            segments.append(_Segment(lo, hi, sol.sol, z[0]))
         if abs(hi - problem.d) < 1e-12 and abs(hi - b) > 1e-12:
             if direction > 0:
                 z = jump_forward(z, problem.beta, problem.gamma)
             else:
                 z = jump_backward(z, problem.beta, problem.gamma)
-    return (z[:, 0] if nu_max == 0 else z), mus * math.pi
+    return z, mus * abs(b - a), segments
+
+
+def solve_chain(
+    problem: Problem,
+    lam: complex,
+    *,
+    nu_max: int = 0,
+    side: str = "left",
+    x_from: float | None = None,
+    x_to: float | None = None,
+    init: np.ndarray | None = None,
+    rtol: float = RTOL,
+    atol: float = ATOL,
+) -> ChainSolution:
+    """Integrate the chain across ``[0, pi]`` (or a sub-interval), with
+    dense output for reading interior states.
+
+    ``side='left'`` starts at 0 from the Robin data ``(1, h)``;
+    ``side='right'`` starts at pi from ``(1, -H)`` (Robin) or ``(0, 1)``
+    (Dirichlet).  ``x_from``/``x_to`` replace the ends and an explicit
+    ``init`` (shape ``(nu_max+1, 2)``) replaces the start data.
+    """
+
+    z, a, b = _start(problem, side, 1, nu_max)
+    a = a if x_from is None else x_from
+    b = b if x_to is None else x_to
+    if init is not None:
+        z = np.asarray(init, dtype=complex).reshape(z.shape).copy()
+    _, _, segments = _walk(problem, [lam], z, a, b, rtol=rtol, atol=atol, dense=True)
+    return ChainSolution(problem, lam, nu_max, a, b, segments, growth_rate(lam))
+
+
+def solve_many(
+    problem: Problem,
+    lams: np.ndarray,
+    *,
+    side: str = "left",
+    nu_max: int = 0,
+    rtol: float = 1e-9,
+    atol: float = 1e-11,
+):
+    """Chain end states for a batch of lambda values in one integration.
+
+    Returns ``(states, logs)``: the scaled far-end chain states, shape
+    ``(n, nu_max+1, 2)`` with ``(y, y')`` per member, and the per-lambda
+    log scales.  The batch shares one step sequence and scipy's error norm
+    is the RMS over all components, so a caller that needs each lambda
+    within the single-solve error budget divides ``rtol`` and ``atol`` by
+    ``sqrt(n)``.  No dense output is built.
+    """
+
+    lams = np.asarray(lams, dtype=complex).ravel()
+    z, a, b = _start(problem, side, lams.size, nu_max)
+    states, logs, _ = _walk(problem, lams, z, a, b, rtol=rtol, atol=atol)
+    return states, logs
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +389,9 @@ def fundamental_pair(
     """Solutions ``y1, y2`` on ``[r, x0]`` with ``y1(r)=1, y1'(r)=0`` and
     ``y2(r)=0, y2'(r)=1`` (matching at ``d`` applied if it lies inside)."""
 
-    init1 = np.array([[1.0, 0.0]], dtype=complex)
-    init2 = np.array([[0.0, 1.0]], dtype=complex)
-    y1 = solve_chain(
-        problem, lam, side="left", x_from=r, x_to=x0, init=init1, rtol=rtol, atol=atol
-    )
-    y2 = solve_chain(
-        problem, lam, side="left", x_from=r, x_to=x0, init=init2, rtol=rtol, atol=atol
+    y1, y2 = (
+        solve_chain(problem, lam, x_from=r, x_to=x0, init=init, rtol=rtol, atol=atol)
+        for init in ((1.0, 0.0), (0.0, 1.0))
     )
     return y1, y2
 

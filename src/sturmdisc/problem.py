@@ -96,27 +96,6 @@ class Problem:
             "d": self.d,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Problem":
-        def grab(key, default):
-            return data.get(key, default)
-
-        H = grab("H", 0.0)
-        if isinstance(H, str):
-            if H.lower() != "dirichlet":
-                raise ValueError(f"H must be a number or 'dirichlet', got {H!r}")
-            H = DIRICHLET
-        elif H is not None:
-            H = _parse_c(H)
-        return cls(
-            q=PotentialExpr.from_spec(grab("q", "0")),
-            h=_parse_c(grab("h", 0.0)),
-            H=H,
-            beta=float(grab("beta", 1.0)),
-            gamma=_parse_c(grab("gamma", 0.0)),
-            d=float(grab("d", math.pi / 2)),
-        )
-
 
 def _c(z: complex):
     z = complex(z)
@@ -124,11 +103,3 @@ def _c(z: complex):
         return z.real
     return [z.real, z.imag]
 
-
-def _parse_c(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        re, im = value
-        return complex(float(re), float(im))
-    if isinstance(value, str):
-        return complex(value.replace("i", "j"))
-    return complex(value)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import char_delta, delta_many
+from .charfn import _deltas, char_delta, delta_many
 from .ode import solve_many
 from .problem import Problem
 
@@ -265,10 +265,7 @@ def _polish(problem: Problem, starts, mults=None, *, maxit: int = 60):
             states, _ = solve_many(
                 problem, lam[idx], nu_max=1, rtol=rtol / shrink, atol=atol / shrink
             )
-            if problem.dirichlet:
-                d = -states[:, :, 0]
-            else:
-                d = states[:, :, 1] + problem.H * states[:, :, 0]
+            d, _ = _deltas(problem, states)
             evals[idx] += 1
             flat = d[:, 1] == 0
             active[idx[flat]] = False

@@ -207,6 +207,13 @@ def product_ratio_probe(
             seq_robin.merged(seq_dirichlet), seq_robin, seq_dirichlet, 1, 1, 0
         )
         model = ProductModel(seq_robin.merged(seq_dirichlet), constant=1.0)
+    else:
+        # each factor is normalized by its value at 0 (the product form
+        # with constant 1), so the comparison matches the product route
+        log_at_zero = []
+        for prob in (prob_a, prob_b):
+            s0 = char_delta(prob, 0.0)
+            log_at_zero.append(s0.delta.log_abs + s0.delta_inf.log_abs)
 
     log_ratios = np.empty(ys.size)
     for k, y in enumerate(ys):
@@ -218,11 +225,8 @@ def product_ratio_probe(
             for prob in (prob_a, prob_b):
                 s = char_delta(prob, lam, rtol=1e-9, atol=1e-11)
                 logG += s.delta.log_abs + s.delta_inf.log_abs
-            # each factor is normalized by its value at 0 (the product form
-            # with constant 1), so the comparison matches the product route
-            for prob in (prob_a, prob_b):
-                s0 = char_delta(prob, 0.0)
-                logG -= s0.delta.log_abs + s0.delta_inf.log_abs
+            for log0 in log_at_zero:
+                logG -= log0
         else:
             logG = model.log_abs_many(np.array([lam]))[0]
         log_ratios[k] = logF - logG

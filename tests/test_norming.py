@@ -7,7 +7,7 @@ import pytest
 from sturmdisc.expr import PotentialExpr
 from sturmdisc.norming import check_identity, compute_norming
 from sturmdisc.problem import Problem
-from sturmdisc.spectrum import find_dirichlet_eigenvalues, find_eigenvalues
+from sturmdisc.spectrum import EigenRecord, find_dirichlet_eigenvalues, find_eigenvalues
 
 PI = math.pi
 
@@ -82,3 +82,29 @@ class TestNonSelfAdjoint:
         norm = compute_norming(p, rec)
         assert len(norm.kappas) == rec.multiplicity
         assert len(norm.alphas) == rec.multiplicity
+
+
+class TestDoubleEigenvalue:
+    """q=0, h=2i, H=-2i: lam=4 is a double eigenvalue with phi = psi = e^{2ix}.
+
+    With u = x - pi, psi_1 = (i u e^{2ix} - (i/2) sin 2x) / 4, so
+    kappa = (1, i pi/4) and alpha = (pi/8, -3 pi/128 - i pi^2/32).
+    """
+
+    def test_two_kappas_two_alphas(self):
+        p = free(h=2j, H=-2j)
+        rec = EigenRecord(lam=4.0 + 0j, multiplicity=2, residual=0.0)
+        norm = compute_norming(p, rec)
+        assert norm.multiplicity == 2
+        assert len(norm.kappas) == 2 and len(norm.alphas) == 2
+        want_kappas = (1.0, 1j * PI / 4)
+        want_alphas = (PI / 8, -3 * PI / 128 - 1j * PI**2 / 32)
+        for got, want in zip(norm.kappas + norm.alphas, want_kappas + want_alphas):
+            assert abs(got - want) < 1e-8
+        assert max(check_identity(p, rec, norm)) < 1e-6
+
+    def test_found_double_root(self):
+        p = free(h=2j, H=-2j)
+        rec = next(r for r in find_eigenvalues(p, 10.0) if abs(r.lam - 4) < 1e-3)
+        assert rec.multiplicity == 2
+        assert max(check_identity(p, rec)) < 1e-6

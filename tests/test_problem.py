@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from sturmdisc.config import problem_from_config
 from sturmdisc.expr import PotentialExpr
 from sturmdisc.problem import Problem
 
@@ -44,7 +45,7 @@ class TestJumpCoefficients:
 class TestSerialization:
     def test_round_trip(self):
         p = make("sin(x)", h=0.3 + 0.1j, H=0.2, beta=2.0, gamma=0.5j, d=1.1)
-        again = Problem.from_dict(p.to_dict())
+        again = problem_from_config(p.to_dict(), "$")
         assert again.h == p.h
         assert again.H == p.H
         assert again.beta == p.beta
@@ -54,7 +55,7 @@ class TestSerialization:
 
     def test_dirichlet_round_trip(self):
         p = make(H=None)
-        assert Problem.from_dict(p.to_dict()).dirichlet
+        assert problem_from_config(p.to_dict(), "$").dirichlet
 
     def test_variants(self):
         p = make(H=0.25)

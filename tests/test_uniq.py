@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from sturmdisc import uniq
+from sturmdisc.charfn import char_delta, f_bracket_ray
 from sturmdisc.expr import PotentialExpr
 from sturmdisc.problem import Problem
 from sturmdisc.spectrum import ZeroSequence
@@ -98,6 +100,34 @@ class TestCollapsedEvaluation:
 
 
 class TestRatioProbe:
+    def test_normalization_at_zero_computed_once(self, monkeypatch):
+        b = 2.0
+        p = Problem(q=PotentialExpr.parse("0"), h=0.2)
+        pb = modify_below(p, b, m=0, dh=0.1)
+        ys = np.geomspace(1e2, 1e4, 3)
+        calls = []
+
+        def counting(prob, lam, **kw):
+            calls.append(lam)
+            return char_delta(prob, lam, **kw)
+
+        monkeypatch.setattr(uniq, "char_delta", counting)
+        rep = product_ratio_probe(p, pb, b, ys=ys)
+        # two problems at each ray point, plus each problem once at 0
+        assert len(calls) == 2 * len(ys) + 2
+        # the log ratios are those of normalizing at 0 at every ray point
+        for k, y in enumerate(ys):
+            lam = 1j * y
+            logG = 0.0
+            for prob in (p, pb):
+                s = char_delta(prob, lam, rtol=1e-9, atol=1e-11)
+                logG += s.delta.log_abs + s.delta_inf.log_abs
+            for prob in (p, pb):
+                s0 = char_delta(prob, 0.0)
+                logG -= s0.delta.log_abs + s0.delta_inf.log_abs
+            logF = f_bracket_ray(p, pb, b, lam, rtol=1e-12, atol=1e-14).log_abs
+            assert rep.log_ratios[k] == logF - logG
+
     def test_exact_products_rate(self):
         b = 2.0
         p = Problem(q=PotentialExpr.parse("0"), h=0.2)
