@@ -180,7 +180,12 @@ def f_function(
 
     sol_a = solve_chain(prob_a, lam, side="left", rtol=rtol, atol=atol)
     sol_b = solve_chain(prob_b, lam, side="left", rtol=rtol, atol=atol)
-    d = prob_a.d
+    return _f_sample(sol_a, sol_b, prob_a.d, lam, at)
+
+
+def _f_sample(sol_a: ChainSolution, sol_b: ChainSolution, d: float, lam: complex, at) -> FSample:
+    """The forms of :func:`f_function` from the two left-side chains."""
+
     if at == "pi":
         F = _bracket(sol_a, sol_b, math.pi, side="-")
         b_eval = math.pi

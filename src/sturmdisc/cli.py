@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -20,19 +19,11 @@ import numpy as np
 from . import __version__
 from .asympt import decay_order_fit
 from .charfn import char_delta, delta_consistency
-from .config import ConfigError, RunConfig, get_int, get_real, load_config, require
-from .entire import (
-    ProductModel,
-    doubling_check,
-    fit_constant,
-    growth_fit,
-    ray_points,
-)
+from .config import ConfigError, RunConfig, get_complex_list, get_int, get_real, load_config
+from .entire import doubling_check, fit_constant, growth_fit, ray_points
 from .norming import check_identity, compute_norming
 from .spectrum import ZeroSequence, find_eigenvalues
 from .uniq import collapse_consistency, bracket_decay_probe, product_ratio_probe
-
-COMMANDS = ("spectrum", "norming", "charfn", "product", "growth", "asympt", "uniq")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -40,159 +31,94 @@ EXIT_COMPUTE = 2
 EXIT_PROPERTY = 3
 
 
-def _c(z) -> list:
-    """Complex number as a JSON-friendly [re, im] pair."""
+def _search(cfg: RunConfig, path: str):
+    """The section's problem and its eigenvalues inside ``modulus_bound``."""
 
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
-
-
-def _parse_lams(params, path):
-    raw = require(params, "lambdas", path)
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(path + ".lambdas", "expected a non-empty list")
-    out = []
-    for k, item in enumerate(raw):
-        if isinstance(item, (int, float)):
-            out.append(complex(item))
-        elif isinstance(item, list) and len(item) == 2:
-            out.append(complex(item[0], item[1]))
-        else:
-            raise ConfigError(f"{path}.lambdas[{k}]", "expected number or [re, im]")
-    return out
+    p = cfg.problem("problem", path + ".problem")
+    bound = get_real(cfg.params, "modulus_bound", path)
+    halfwidth = get_real(cfg.params, "im_halfwidth", path, default=50.0)
+    return p, find_eigenvalues(p, bound, im_halfwidth=halfwidth)
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (payload, rows, status)
-# where rows is the CSV form ([header, *records]) and status the exit code.
+# Command implementations: each returns (payload, status), where status is
+# the exit code.  Complex values stay ``complex``; _emit writes them as
+# [re, im] in JSON and as two columns in CSV.
 # ---------------------------------------------------------------------------
 
 
 def _run_spectrum(cfg: RunConfig):
-    p = cfg.problem("problem", "$.spectrum.problem")
-    bound = get_real(cfg.params, "modulus_bound", "$.spectrum")
-    halfwidth = get_real(cfg.params, "im_halfwidth", "$.spectrum", default=50.0)
-    records = find_eigenvalues(p, bound, im_halfwidth=halfwidth)
+    _, records = _search(cfg, "$.spectrum")
     payload = {
         "eigenvalues": [
-            {"lam": _c(r.lam), "multiplicity": r.multiplicity, "residual": r.residual}
+            {"lam": complex(r.lam), "multiplicity": r.multiplicity, "residual": r.residual}
             for r in records
         ]
     }
-    rows = [["re", "im", "multiplicity", "residual"]] + [
-        [_fmt(r.lam.real), _fmt(r.lam.imag), str(r.multiplicity), _fmt(r.residual)]
-        for r in records
-    ]
-    return payload, rows, EXIT_OK
+    return payload, EXIT_OK
 
 
 def _run_norming(cfg: RunConfig):
-    p = cfg.problem("problem", "$.norming.problem")
-    bound = get_real(cfg.params, "modulus_bound", "$.norming")
-    halfwidth = get_real(cfg.params, "im_halfwidth", "$.norming", default=50.0)
-    records = find_eigenvalues(p, bound, im_halfwidth=halfwidth)
+    p, records = _search(cfg, "$.norming")
     out = []
-    rows = [["re", "im", "multiplicity", "kappa0_re", "kappa0_im", "alpha0_re",
-             "alpha0_im", "identity_residual"]]
     for rec in records:
         norm = compute_norming(p, rec)
-        resids = check_identity(p, rec, norm)
         out.append(
             {
-                "lam": _c(rec.lam),
+                "lam": complex(rec.lam),
                 "multiplicity": rec.multiplicity,
-                "kappas": [_c(k) for k in norm.kappas],
-                "alphas": [_c(a) for a in norm.alphas],
-                "identity_residuals": list(resids),
+                "kappas": [complex(k) for k in norm.kappas],
+                "alphas": [complex(a) for a in norm.alphas],
+                "identity_residuals": list(check_identity(p, rec, norm)),
             }
         )
-        rows.append(
-            [
-                _fmt(rec.lam.real),
-                _fmt(rec.lam.imag),
-                str(rec.multiplicity),
-                _fmt(norm.kappas[0].real),
-                _fmt(norm.kappas[0].imag),
-                _fmt(norm.alphas[0].real),
-                _fmt(norm.alphas[0].imag),
-                _fmt(max(resids)),
-            ]
-        )
-    return {"norming": out}, rows, EXIT_OK
+    return {"norming": out}, EXIT_OK
 
 
 def _run_charfn(cfg: RunConfig):
     p = cfg.problem("problem", "$.charfn.problem")
-    lams = _parse_lams(cfg.params, "$.charfn")
     out = []
-    rows = [["lam_re", "lam_im", "delta_re", "delta_im", "delta_inf_re",
-             "delta_inf_im", "log_scale", "consistency"]]
-    for lam in lams:
+    for lam in get_complex_list(cfg.params, "lambdas", "$.charfn"):
         s = char_delta(p, lam)
-        cons = delta_consistency(p, lam)
         out.append(
             {
-                "lam": _c(lam),
-                "delta": _c(s.delta.val),
-                "delta_inf": _c(s.delta_inf.val),
+                "lam": lam,
+                "delta": complex(s.delta.val),
+                "delta_inf": complex(s.delta_inf.val),
                 "log_scale": s.delta.log,
-                "consistency": cons,
+                "consistency": delta_consistency(p, lam),
             }
         )
-        rows.append(
-            [_fmt(lam.real), _fmt(lam.imag), _fmt(s.delta.val.real),
-             _fmt(s.delta.val.imag), _fmt(s.delta_inf.val.real),
-             _fmt(s.delta_inf.val.imag), _fmt(s.delta.log), _fmt(cons)]
-        )
-    return {"samples": out}, rows, EXIT_OK
+    return {"samples": out}, EXIT_OK
 
 
 def _run_product(cfg: RunConfig):
-    p = cfg.problem("problem", "$.product.problem")
     path = "$.product"
     if "zeros" in cfg.params:
-        raw = cfg.params["zeros"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(path + ".zeros", "expected a non-empty list")
-        zeros = [complex(z) if isinstance(z, (int, float)) else complex(z[0], z[1])
-                 for z in raw]
+        p = cfg.problem("problem", path + ".problem")
+        zeros = get_complex_list(cfg.params, "zeros", path)
         seq = ZeroSequence(np.array(zeros), np.ones(len(zeros), dtype=int),
                            origin="config")
     else:
-        bound = get_real(cfg.params, "modulus_bound", path)
-        halfwidth = get_real(cfg.params, "im_halfwidth", path, default=50.0)
-        records = find_eigenvalues(p, bound, im_halfwidth=halfwidth)
+        p, records = _search(cfg, path)
         seq = ZeroSequence.from_records(records)
     constant = fit_constant(p, seq, lam=0.0)
-    lams = _parse_lams(cfg.params, path) if "lambdas" in cfg.params else [
+    lams = get_complex_list(cfg.params, "lambdas", path) if "lambdas" in cfg.params else [
         complex(v) for v in np.linspace(-4.9, 4.9, 11)
     ]
     out = []
-    rows = [["lam_re", "lam_im", "product_re", "product_im", "delta_re",
-             "delta_im", "doubling_gap"]]
     for lam in lams:
         full, half = doubling_check(seq, lam, constant)
-        ref = char_delta(p, lam).delta
-        gap = abs(full.value - half.value)
         out.append(
             {
-                "lam": _c(lam),
-                "product": _c(full.value),
-                "delta": _c(ref.value),
-                "doubling_gap": gap,
+                "lam": lam,
+                "product": complex(full.value),
+                "delta": complex(char_delta(p, lam).delta.value),
+                "doubling_gap": abs(full.value - half.value),
             }
         )
-        rows.append(
-            [_fmt(lam.real), _fmt(lam.imag), _fmt(full.value.real),
-             _fmt(full.value.imag), _fmt(ref.value.real), _fmt(ref.value.imag),
-             _fmt(gap)]
-        )
-    payload = {"constant": _c(constant), "n_zeros": len(seq), "samples": out}
-    return payload, rows, EXIT_OK
+    payload = {"constant": complex(constant), "n_zeros": len(seq), "samples": out}
+    return payload, EXIT_OK
 
 
 def _run_growth(cfg: RunConfig):
@@ -221,10 +147,7 @@ def _run_growth(cfg: RunConfig):
             for y, l, m in zip(ys, logs, preds)
         ],
     }
-    rows = [["y", "log_abs_f", "model_prediction"]] + [
-        [_fmt(y), _fmt(l), _fmt(m)] for y, l, m in zip(ys, logs, preds)
-    ]
-    return payload, rows, EXIT_OK
+    return payload, EXIT_OK
 
 
 def _run_asympt(cfg: RunConfig):
@@ -245,11 +168,7 @@ def _run_asympt(cfg: RunConfig):
         "pass": bool(fit.passes),
         "points_used": int(fit.used.sum()),
     }
-    rows = [["combination", "claimed_exponent", "fitted_slope", "pass"],
-            [payload["combination"], _fmt(fit.claimed_exponent),
-             _fmt(fit.slope) if math.isfinite(fit.slope) else "-inf",
-             str(payload["pass"]).lower()]]
-    return payload, rows, EXIT_OK if fit.passes else EXIT_PROPERTY
+    return payload, EXIT_OK if fit.passes else EXIT_PROPERTY
 
 
 def _run_uniq(cfg: RunConfig):
@@ -262,65 +181,85 @@ def _run_uniq(cfg: RunConfig):
     if mode == "iy":
         m = get_int(cfg.params, "m", "$.uniq")
         probe = bracket_decay_probe(pa, pb, b, m)
-        payload = {
-            "mode": mode,
-            "fitted_slope": probe.slope,
-            "threshold": probe.threshold,
-            "pass": bool(probe.passes),
-        }
-        status = EXIT_OK if probe.passes else EXIT_PROPERTY
-        rows = [["fitted_slope", "threshold", "pass"],
-                [_fmt(probe.slope), _fmt(probe.threshold),
-                 str(payload["pass"]).lower()]]
+        ok = bool(probe.passes)
+        values = {"fitted_slope": probe.slope, "threshold": probe.threshold}
     elif mode == "collapse":
         tol = get_real(cfg.params, "tolerance", "$.uniq", default=1e-8)
         rep = collapse_consistency(pa, pb, b)
         ok = rep.max_rel <= tol
-        payload = {
-            "mode": mode,
-            "max_relative_gap": rep.max_rel,
-            "tolerance": tol,
-            "pass": ok,
-        }
-        status = EXIT_OK if ok else EXIT_PROPERTY
-        rows = [["max_relative_gap", "tolerance", "pass"],
-                [_fmt(rep.max_rel), _fmt(tol), str(ok).lower()]]
+        values = {"max_relative_gap": rep.max_rel, "tolerance": tol}
     else:
         rep = product_ratio_probe(pa, pb, b)
-        payload = {
-            "mode": mode,
+        ok = rep.monotone_tail
+        values = {
             "fitted_rate": rep.fitted_rate,
             "expected_rate": rep.expected_rate,
-            "monotone_tail": rep.monotone_tail,
-            "log_ratios": [float(v) for v in rep.log_ratios],
-            "pass": rep.monotone_tail,
+            "monotone_tail": ok,
+            "samples": [
+                {"y": float(y), "log_ratio": float(v)}
+                for y, v in zip(rep.ys, rep.log_ratios)
+            ],
         }
-        status = EXIT_OK if rep.monotone_tail else EXIT_PROPERTY
-        rows = [["y", "log_ratio"]] + [
-            [_fmt(y), _fmt(v)] for y, v in zip(rep.ys, rep.log_ratios)
-        ]
-    return payload, rows, status
+    payload = {"mode": mode, **values, "pass": ok}
+    return payload, EXIT_OK if ok else EXIT_PROPERTY
 
 
+# command -> (runner, the fields its config section may hold)
 _RUNNERS = {
-    "spectrum": _run_spectrum,
-    "norming": _run_norming,
-    "charfn": _run_charfn,
-    "product": _run_product,
-    "growth": _run_growth,
-    "asympt": _run_asympt,
-    "uniq": _run_uniq,
+    "spectrum": (_run_spectrum, {"problem", "modulus_bound", "im_halfwidth"}),
+    "norming": (_run_norming, {"problem", "modulus_bound", "im_halfwidth"}),
+    "charfn": (_run_charfn, {"problem", "lambdas"}),
+    "product": (_run_product,
+                {"problem", "zeros", "modulus_bound", "im_halfwidth", "lambdas"}),
+    "growth": (_run_growth, {"problem", "target", "y_lo", "y_hi", "per_decade"}),
+    "asympt": (_run_asympt, {"problem_a", "problem_b", "r", "x0", "m", "combination"}),
+    "uniq": (_run_uniq, {"mode", "problem_a", "problem_b", "b", "m", "tolerance"}),
 }
 
 
-def _emit(report, rows, fmt, out_path):
-    if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+def _flatten(key: str, value, row: dict) -> None:
+    """Add ``value`` to ``row`` as CSV cells, in columns named after ``key``."""
+
+    if isinstance(value, complex):
+        _flatten(key + "_re", value.real, row)
+        _flatten(key + "_im", value.imag, row)
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            _flatten(f"{key}_{k}", item, row)
+    elif isinstance(value, bool):
+        row[key] = "true" if value else "false"
+    elif isinstance(value, float):
+        row[key] = "%.17g" % value
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(rows)
-        text = buf.getvalue()
+        row[key] = str(value)
+
+
+def _csv(result: dict) -> str:
+    """The result as CSV: one row per record of its list of records (or a
+    single row when it has none), columns named by the JSON fields."""
+
+    lists = [v for v in result.values()
+             if isinstance(v, list) and all(isinstance(r, dict) for r in v)]
+    rows = []
+    for record in lists[0] if lists else [result]:
+        row = {}
+        for key, value in record.items():
+            _flatten(key, value, row)
+        rows.append(row)
+    header = list(dict.fromkeys(name for row in rows for name in row))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([row.get(name, "") for name in header] for row in rows)
+    return buf.getvalue()
+
+
+def _emit(report, fmt, out_path):
+    if fmt == "json":
+        text = json.dumps(report, indent=2, sort_keys=True,
+                          default=lambda z: [z.real, z.imag]) + "\n"
+    else:
+        text = _csv(report["result"])
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -335,7 +274,7 @@ def main(argv=None) -> int:
         "with an interior discontinuity",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _RUNNERS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--out", default=None)
@@ -343,8 +282,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config, args.command)
-        payload, rows, status = _RUNNERS[args.command](cfg)
+        runner, fields = _RUNNERS[args.command]
+        cfg = load_config(args.config, args.command, fields)
+        payload, status = runner(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -360,7 +300,7 @@ def main(argv=None) -> int:
     }
     if status == EXIT_PROPERTY:
         report["failed"] = True
-    _emit(report, rows, args.format, args.out)
+    _emit(report, args.format, args.out)
     return status
 
 

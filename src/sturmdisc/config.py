@@ -24,13 +24,18 @@ class ConfigError(Exception):
         self.message = message
 
 
+def _is_real(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as an int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_real(value):
         return complex(value)
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
+        and all(_is_real(v) for v in value)
     ):
         return complex(value[0], value[1])
     raise ConfigError(path, "expected a number or [re, im] pair")
@@ -59,7 +64,7 @@ def problem_from_config(spec, path: str) -> Problem:
         kwargs["gamma"] = _as_complex(spec["gamma"], path + ".gamma")
     for name in ("beta", "d"):
         if name in spec:
-            if not isinstance(spec[name], (int, float)):
+            if not _is_real(spec[name]):
                 raise ConfigError(path + "." + name, "expected a real number")
             kwargs[name] = float(spec[name])
     known = {"q", "h", "H", "beta", "gamma", "d"}
@@ -88,7 +93,9 @@ class RunConfig:
         return self.problems[name]
 
 
-def load_config(path: str, command: str) -> RunConfig:
+def load_config(path: str, command: str, fields) -> RunConfig:
+    """The config at ``path``; the ``command`` section may hold only ``fields``."""
+
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -108,6 +115,9 @@ def load_config(path: str, command: str) -> RunConfig:
     params = doc.get(command, {})
     if not isinstance(params, dict):
         raise ConfigError(f"$.{command}", "expected an object")
+    for key in params:
+        if key not in fields:
+            raise ConfigError(f"$.{command}.{key}", "unknown field")
     return RunConfig(command=command, problems=problems, params=params, raw=doc)
 
 
@@ -123,7 +133,7 @@ def get_real(params: dict, key: str, path: str, default=None) -> float:
             raise ConfigError(f"{path}.{key}", "missing required field")
         return default
     value = params[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_real(value):
         raise ConfigError(f"{path}.{key}", "expected a real number")
     return float(value)
 
@@ -137,3 +147,10 @@ def get_int(params: dict, key: str, path: str, default=None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}", "expected an integer")
     return value
+
+
+def get_complex_list(params: dict, key: str, path: str) -> list:
+    raw = require(params, key, path)
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{path}.{key}", "expected a non-empty list")
+    return [_as_complex(z, f"{path}.{key}[{k}]") for k, z in enumerate(raw)]

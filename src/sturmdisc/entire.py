@@ -28,13 +28,10 @@ from .spectrum import ZeroSequence
 
 @dataclass
 class ProductModel:
-    """``C * prod (1 - lam / zeros)^mults`` with optional first-order tail
-    compensation ``exp(-lam * tail_sum)`` for a known analytic tail
-    ``tail_sum = sum_{excluded n} 1/lam_n``."""
+    """``C * prod (1 - lam / zeros)^mults``."""
 
     seq: ZeroSequence
     constant: complex = 1.0
-    tail_sum: complex = 0.0
 
     def __post_init__(self):
         if np.any(np.abs(self.seq.zeros) < 1e-9):
@@ -52,7 +49,6 @@ class ProductModel:
         terms = np.log(factors)
         total = complex(np.dot(self.seq.mults, terms))
         total += complex(np.log(complex(self.constant)))
-        total -= lam * self.tail_sum
         return total
 
     def eval(self, lam: complex) -> ScaledVal:
@@ -66,13 +62,11 @@ class ProductModel:
         mat = np.log(np.abs(1.0 - lams[:, None] / self.seq.zeros[None, :]))
         out = mat @ self.seq.mults.astype(float)
         out += math.log(abs(complex(self.constant)))
-        out -= (lams * self.tail_sum).real
         return out
 
 
-def truncated_product(seq: ZeroSequence, lam: complex, constant: complex = 1.0,
-                      tail_sum: complex = 0.0) -> ScaledVal:
-    return ProductModel(seq, constant, tail_sum).eval(lam)
+def truncated_product(seq: ZeroSequence, lam: complex, constant: complex = 1.0) -> ScaledVal:
+    return ProductModel(seq, constant).eval(lam)
 
 
 def truncated_head(seq: ZeroSequence, n: int) -> ZeroSequence:
@@ -232,8 +226,8 @@ def number_ray_check(
 
     When the counting hypothesis ``N_X >= l1 N_B + l2 N_Binf + l3`` holds
     for the underlying (infinite) sequences this stays bounded below by a
-    positive constant; the product must carry enough zeros (or tail
-    compensation) for the truncation not to bite over the sampled range.
+    positive constant; the product must carry enough zeros for the
+    truncation not to bite over the sampled range.
     """
 
     if ys is None:

@@ -97,12 +97,6 @@ class ScaledVal:
         a = abs(self.val)
         return -math.inf if a == 0 else math.log(a) + self.log
 
-    def normalized(self) -> "ScaledVal":
-        a = abs(self.val)
-        if a == 0:
-            return ScaledVal(0.0, -math.inf)
-        return ScaledVal(self.val / a, self.log + math.log(a))
-
     def __mul__(self, other):
         if isinstance(other, ScaledVal):
             return ScaledVal(self.val * other.val, self.log + other.log)

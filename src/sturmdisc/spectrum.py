@@ -307,6 +307,8 @@ class _Leaf:
 
 
 _START_FRACTIONS = ((0.5, 0.5), (0.3, 0.3), (0.7, 0.62))
+_LEAF_SIZE = 2.0  # rectangles this small are not split further
+_COUNT_RTOL = 3e-7  # integrator tolerance of the winding counts
 
 
 def find_eigenvalues(
@@ -314,8 +316,6 @@ def find_eigenvalues(
     modulus_bound: float,
     *,
     im_halfwidth: float = 50.0,
-    leaf_size: float = 2.0,
-    count_rtol: float = 3e-7,
 ) -> list[EigenRecord]:
     """Eigenvalues with ``|lam| < modulus_bound`` and ``|Im lam| <=
     im_halfwidth``, with multiplicities.
@@ -330,7 +330,7 @@ def find_eigenvalues(
     """
 
     B = float(modulus_bound)
-    cache = _Cache(_problem_batch(problem, rtol=count_rtol, atol=count_rtol * 1e-2))
+    cache = _Cache(_problem_batch(problem, rtol=_COUNT_RTOL, atol=_COUNT_RTOL * 1e-2))
     c = min(im_halfwidth, B + 1.0)
     outer = (-B - 0.372, B + 0.413, -c - 0.0931, c + 0.1043)
 
@@ -410,7 +410,7 @@ def find_eigenvalues(
         if count == 0:
             return
         w, hgt = rect[1] - rect[0], rect[3] - rect[2]
-        if count <= 3 or max(w, hgt) <= leaf_size or depth > 40:
+        if count <= 3 or max(w, hgt) <= _LEAF_SIZE or depth > 40:
             pending.append(_Leaf(rect, count, depth))
             return
         for half, cnt in split(rect, count):
@@ -441,7 +441,7 @@ def find_eigenvalues(
             # the leaf winding already pins the zero order
             mult = 1
         else:
-            radius = min(0.02 * (1 + abs(lam)) ** 0.25, 0.45 * leaf_size)
+            radius = min(0.02 * (1 + abs(lam)) ** 0.25, 0.45 * _LEAF_SIZE)
             try:
                 mult = multiplicity_probe(cache, lam, radius, check_shrink=False)
             except ZeroOnContour:

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Piece, PotentialExpr
-from .charfn import char_delta, f_bracket_ray, f_function
+from .charfn import _f_sample, char_delta, f_bracket_ray
 from .entire import ProductModel, check_counting_bound, CountingBound
-from .ode import growth_rate
+from .ode import growth_rate, solve_chain
 from .problem import Problem
 from .spectrum import ZeroSequence
 
@@ -147,9 +147,12 @@ def collapse_consistency(
         lams = rng.uniform(-2.0, 60.0, 20) + 1j * rng.uniform(-3.0, 3.0, 20)
     lams = np.asarray(lams, dtype=complex)
     rels = np.empty(lams.size)
-    for k, lam in enumerate(lams):
-        ref = f_function(prob_a, prob_b, complex(lam), at="pi", rtol=rtol, atol=atol)
-        col = f_function(prob_a, prob_b, complex(lam), at=b, rtol=rtol, atol=atol)
+    for k, lam in enumerate(lams.tolist()):
+        # both forms read the same two chains, so each is solved once
+        sol_a = solve_chain(prob_a, lam, side="left", rtol=rtol, atol=atol)
+        sol_b = solve_chain(prob_b, lam, side="left", rtol=rtol, atol=atol)
+        ref = _f_sample(sol_a, sol_b, prob_a.d, lam, "pi")
+        col = _f_sample(sol_a, sol_b, prob_a.d, lam, b)
         diff = ref.F - col.F
         scale = max(ref.F.log_abs, col.F.log_abs)
         rels[k] = math.exp(diff.log_abs - scale) if scale > -math.inf else 0.0

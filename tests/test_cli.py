@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
+import io
 import json
 import math
 
@@ -59,7 +61,7 @@ class TestSpectrumCommand:
         )
         assert main(["spectrum", "--config", cfg, "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "re,im,multiplicity,residual"
+        assert lines[0] == "lam_re,lam_im,multiplicity,residual"
         assert len(lines) >= 3
 
 
@@ -205,6 +207,48 @@ class TestValidationErrors:
         assert main(["spectrum", "--config", cfg]) == 1
         assert "modulus_bound" in capsys.readouterr().err
 
+    def test_complex_entry_shape(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {"problems": {"p": FREE}, "product": {"problem": "p", "zeros": [[1]]}},
+        )
+        assert main(["product", "--config", cfg]) == 1
+        assert "$.product.zeros[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, problem, section, path",
+        [
+            ("product", FREE, {"zeros": [True, 4, 9]}, "$.product.zeros[0]"),
+            ("charfn", FREE, {"lambdas": [True]}, "$.charfn.lambdas[0]"),
+            ("charfn", {"q": "0", "h": True}, {"lambdas": [1]}, "$.problems.p.h"),
+            ("charfn", {"q": "0", "H": [0, False]}, {"lambdas": [1]}, "$.problems.p.H"),
+            ("charfn", {"q": "0", "gamma": True}, {"lambdas": [1]}, "$.problems.p.gamma"),
+            ("charfn", {"q": "0", "beta": True}, {"lambdas": [1]}, "$.problems.p.beta"),
+            ("charfn", {"q": "0", "d": False}, {"lambdas": [1]}, "$.problems.p.d"),
+        ],
+    )
+    def test_bool_is_not_a_number(self, tmp_path, capsys, command, problem, section, path):
+        cfg = write_config(
+            tmp_path, {"problems": {"p": problem}, command: {"problem": "p", **section}}
+        )
+        assert main([command, "--config", cfg]) == 1
+        assert path in capsys.readouterr().err
+
+    def test_unknown_section_field(self, tmp_path, capsys, monkeypatch):
+        def no_search(*args, **kw):
+            raise AssertionError("the search ran before the config was checked")
+
+        monkeypatch.setattr("sturmdisc.cli.find_eigenvalues", no_search)
+        cfg = write_config(
+            tmp_path,
+            {
+                "problems": {"p": FREE},
+                "spectrum": {"problem": "p", "modulus_bound": 5, "im_halfwidht": 200},
+            },
+        )
+        assert main(["spectrum", "--config", cfg]) == 1
+        assert "$.spectrum.im_halfwidht: unknown field" in capsys.readouterr().err
+
     def test_uniq_bad_mode(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -241,3 +285,94 @@ class TestPropertyExit:
         report = json.loads(capsys.readouterr().out)
         assert report["failed"] is True
         assert report["result"]["pass"] is False
+
+
+# JSON fields that hold [re, im] pairs (for kappas/alphas, lists of them)
+COMPLEX_FIELDS = {"lam", "delta", "delta_inf", "product", "kappas", "alphas"}
+
+
+def json_columns(key, value, is_complex):
+    """The (column, value) pairs of one JSON field under the CSV rule."""
+
+    if is_complex and not isinstance(value[0], list):
+        return [(key + "_re", value[0]), (key + "_im", value[1])]
+    if isinstance(value, list):
+        return [
+            pair
+            for k, item in enumerate(value)
+            for pair in json_columns(f"{key}_{k}", item, is_complex)
+        ]
+    return [(key, value)]
+
+
+SPLICED = {
+    "q": [
+        {"interval": [0.0, 2.0], "expr": "x - 2"},
+        {"interval": [2.0, math.pi], "expr": "0"},
+    ]
+}
+
+CHEAP_CONFIGS = {
+    "spectrum": {
+        "problems": {"p": FREE},
+        "spectrum": {"problem": "p", "modulus_bound": 10},
+    },
+    # the double root at 4 has a second kappa/alpha column set, so the
+    # simple root at 1 leaves those cells blank
+    "norming": {
+        "problems": {"p": {"q": "0", "h": [0, 2], "H": [0, -2]}},
+        "norming": {"problem": "p", "modulus_bound": 6},
+    },
+    "charfn": {
+        "problems": {"p": FREE},
+        "charfn": {"problem": "p", "lambdas": [2.0, [3.0, 1.0]]},
+    },
+    "product": {
+        "problems": {"p": {"q": "0", "h": 0, "H": "dirichlet"}},
+        "product": {"problem": "p", "zeros": [1, 4, [9, 0]], "lambdas": [0.25, [2, 1]]},
+    },
+    "growth": {
+        "problems": {"p": FREE},
+        "growth": {"problem": "p", "y_lo": 100.0, "y_hi": 1000.0, "per_decade": 2},
+    },
+    "asympt": {
+        "problems": {"a": {"q": "0"}, "b": {"q": "x - 3"}},
+        "asympt": {"problem_a": "a", "problem_b": "b", "r": 2.9, "x0": 3.0, "m": 0},
+    },
+    "uniq": {
+        "problems": {"a": {"q": "0"}, "b": SPLICED},
+        "uniq": {"mode": "collapse", "problem_a": "a", "problem_b": "b", "b": 2.0},
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(CHEAP_CONFIGS))
+def test_csv_is_derived_from_json(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, CHEAP_CONFIGS[command])
+    assert main([command, "--config", cfg]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert main([command, "--config", cfg, "--format", "csv"]) == 0
+    header, *lines = csv.reader(io.StringIO(capsys.readouterr().out))
+
+    lists = [v for v in result.values()
+             if isinstance(v, list) and all(isinstance(r, dict) for r in v)]
+    records = lists[0] if lists else [result]
+    rows = [
+        dict(pair for key, value in rec.items()
+             for pair in json_columns(key, value, key in COMPLEX_FIELDS))
+        for rec in records
+    ]
+    # the report sorts its keys; the CSV keeps the payload's field order
+    assert sorted(header) == sorted({name for row in rows for name in row})
+    assert len(lines) == len(rows)
+    for row, line in zip(rows, lines):
+        assert len(line) == len(header)
+        for name, cell in zip(header, line):
+            if name not in row:
+                assert cell == ""
+            elif isinstance(row[name], bool):
+                assert cell == str(row[name]).lower()
+            elif isinstance(row[name], float):
+                assert float(cell) == row[name]
+            else:
+                assert cell == str(row[name])

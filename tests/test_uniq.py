@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from sturmdisc import uniq
-from sturmdisc.charfn import char_delta, f_bracket_ray
+from sturmdisc import charfn, uniq
+from sturmdisc.charfn import char_delta, f_bracket_ray, f_function
 from sturmdisc.expr import PotentialExpr
+from sturmdisc.ode import solve_chain
 from sturmdisc.problem import Problem
 from sturmdisc.spectrum import ZeroSequence
 from sturmdisc.uniq import (
@@ -90,6 +91,29 @@ class TestCollapsedEvaluation:
         pb = modify_below(p, b, m=0, weight=0.4, dh=0.2)
         rep = collapse_consistency(p, pb, b, lams=self.LAMS)
         assert rep.max_rel < 1e-8
+
+    def test_each_chain_solved_once_per_lambda(self, monkeypatch):
+        b = 2.0
+        p = base_jump()
+        pb = modify_below(p, b, m=0, weight=0.4, dh=0.2)
+        lams = self.LAMS[:4]
+        want = []
+        for lam in lams:
+            ref = f_function(p, pb, complex(lam), at="pi", rtol=1e-12, atol=1e-14).F
+            col = f_function(p, pb, complex(lam), at=b, rtol=1e-12, atol=1e-14).F
+            want.append(math.exp((ref - col).log_abs - max(ref.log_abs, col.log_abs)))
+        calls = []
+
+        def counting(prob, lam, **kw):
+            calls.append(lam)
+            return solve_chain(prob, lam, **kw)
+
+        monkeypatch.setattr(uniq, "solve_chain", counting)
+        monkeypatch.setattr(charfn, "solve_chain", counting)
+        rep = collapse_consistency(p, pb, b, lams=lams)
+        # one chain per problem and lambda, shared by both forms of F
+        assert len(calls) == 2 * len(lams)
+        assert list(rep.rels) == want
 
     def test_default_grid(self):
         p = Problem(q=PotentialExpr.parse("0"), h=0.1)
