@@ -21,14 +21,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import make_interp_spline
 
 from .expr import PotentialExpr, as_polynomial
-from .ode import RTOL, ATOL, growth_rate, pair_integrals
+from .ode import BRACKET_TOL, growth_rate, pair_integrals
 from .problem import Problem
 
 
@@ -142,6 +141,9 @@ class _GridBackend:
         return np.full_like(self.xs, c, dtype=complex)
 
 
+_GRID_N = 4001  # grid of the spline backend
+
+
 @dataclass
 class ExpansionTable:
     m: int
@@ -163,37 +165,32 @@ class ExpansionTable:
         return complex(self.backend.at(self.b[j], x))
 
 
-def build_expansion(
-    q,
-    m: int,
-    x_max: float = math.pi,
-    grid_n: int = 4001,
-) -> ExpansionTable:
-    """Coefficient tables for smoothness degree ``m >= 0``.
+def build_expansion(q, m: int) -> ExpansionTable:
+    """Coefficient tables for smoothness degree ``m >= 0`` on ``[0, pi]``.
 
     ``f_{1,j}`` come from antiderivative/derivative shifts of the potential;
     higher rows are built by the two-term recursion mixing derivatives of
     ``q * f_{p-1,s}`` with ``q``-weighted integrals.  ``a_j`` (j=1..m+2) and
     ``b_j`` (j=0..m+1) are the assembled coefficients of the kernel
     expansions of the sine-normalized solution and its derivative.
+    Potentials that are not polynomials are sampled on a 4001-point grid.
     """
 
     if isinstance(q, str):
-        q = PotentialExpr.parse(q, length=max(x_max, math.pi))
+        q = PotentialExpr.parse(q)
+    xs = np.linspace(0.0, math.pi, _GRID_N)
     if isinstance(q, PotentialExpr):
         piece = q.pieces[0]
-        if piece.hi < x_max - 1e-12:
-            raise ValueError("expansion requires a single smooth piece on [0, x_max]")
+        if piece.hi < math.pi - 1e-12:
+            raise ValueError("expansion requires a single smooth piece on [0, pi]")
         poly = as_polynomial(piece.node)
         if poly is not None:
             backend = _PolyBackend(poly)
             path = "polynomial"
         else:
-            xs = np.linspace(0.0, x_max, grid_n)
-            backend = _GridBackend(q.piece_fn(0.0, min(piece.hi, x_max)), xs)
+            backend = _GridBackend(q.piece_fn(0.0, min(piece.hi, math.pi)), xs)
             path = "grid"
     else:
-        xs = np.linspace(0.0, x_max, grid_n)
         backend = _GridBackend(q, xs)
         path = "grid"
 
@@ -380,8 +377,6 @@ def decay_order_fit(
     ys=None,
     *,
     m_claimed: int | None = None,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
 ) -> DecayFit:
     """Fit the ray decay exponent of ``W = yA_i ytB_j' - yA_i' ytB_j``.
 
@@ -415,16 +410,8 @@ def decay_order_fit(
     for k, y in enumerate(ys):
         lam = 1j * y
         res = pair_integrals(
-            prob_a,
-            prob_b,
-            lam,
-            r,
-            x0,
-            init,
-            init,
-            [(combo[0] - 1, combo[1] - 1)],
-            rtol=rtol,
-            atol=atol,
+            prob_a, prob_b, lam, r, x0, init, init, [(combo[0] - 1, combo[1] - 1)],
+            tol=BRACKET_TOL,
         )
         mu = growth_rate(lam)
         winit = _COMBO_INIT[combo]
@@ -433,7 +420,7 @@ def decay_order_fit(
         )
         s_abs = math.sqrt(abs(lam))
         amp = (1.0 / s_abs) ** ((combo[0] == 2) + (combo[1] == 2))
-        floor = max(1e3 * 2.22e-16, 30.0 * rtol) * max(qdiff, 1e-30) * (x0 - r) * amp
+        floor = 30.0 * BRACKET_TOL * max(qdiff, 1e-30) * (x0 - r) * amp
         logs[k] = math.log(abs(scaled)) if scaled != 0 else -math.inf
         floors[k] = math.log(floor)
     claimed = None if m_claimed is None else m_claimed + _COMBO_ORDER[combo]

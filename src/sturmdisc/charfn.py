@@ -25,16 +25,15 @@ the ODE solve, which is the only numerically viable route once the scale
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ode import (
-    ATOL,
-    RTOL,
+    BRACKET_TOL,
+    TOL,
     ChainSolution,
     ScaledVal,
-    growth_rate,
     pair_integrals,
     solve_chain,
     solve_many,
@@ -72,13 +71,12 @@ def char_delta(
     lam: complex,
     *,
     nu_max: int = 0,
-    rtol: float = RTOL,
-    atol: float = ATOL,
+    tol: float = TOL,
 ) -> CharSample:
     """Evaluate ``delta`` and ``delta_inf`` (and lam-derivatives up to order
     ``nu_max``) at ``lam`` via one chain solve of ``phi``."""
 
-    states, logs = solve_many(problem, [lam], nu_max=nu_max, rtol=rtol, atol=atol)
+    states, logs = solve_many(problem, [lam], nu_max=nu_max, tol=tol)
     z, log = states[0], float(logs[0])
     d, d_inf = _deltas(problem, z)
     ddelta = [ScaledVal(v, log) for v in d]
@@ -94,13 +92,7 @@ def char_delta(
     )
 
 
-def delta_many(
-    problem: Problem,
-    lams,
-    *,
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
-):
+def delta_many(problem: Problem, lams, *, tol: float = TOL):
     """Batched ``(delta, delta_inf)`` over an array of lambda values.
 
     Returns ``(vals, vals_inf, logs)`` with the scaled values and the common
@@ -108,15 +100,15 @@ def delta_many(
     batch, which is what makes contour sampling affordable.
     """
 
-    states, logs = solve_many(problem, lams, rtol=rtol, atol=atol)
+    states, logs = solve_many(problem, lams, tol=tol)
     vals, vals_inf = _deltas(problem, states)
     return vals[:, 0], vals_inf[:, 0], logs
 
 
-def weyl_m(problem: Problem, lam: complex, *, rtol: float = RTOL, atol: float = ATOL) -> complex:
+def weyl_m(problem: Problem, lam: complex) -> complex:
     """Weyl function ``M = delta_inf / delta`` (poles at eigenvalues)."""
 
-    sample = char_delta(problem, lam, rtol=rtol, atol=atol)
+    sample = char_delta(problem, lam)
     num, den = sample.delta_inf, sample.delta
     if den.val == 0:
         return complex(math.inf, 0.0)
@@ -128,7 +120,7 @@ def delta_consistency(problem: Problem, lam: complex) -> float:
     ``delta`` (``V(phi)`` versus ``-U(psi)``); an integrator diagnostic."""
 
     left = char_delta(problem, lam).delta
-    states, logs = solve_many(problem, [lam], side="right", rtol=RTOL, atol=ATOL)
+    states, logs = solve_many(problem, [lam], side="right")
     z = states[0]
     right = ScaledVal(-(z[0, 1] - problem.h * z[0, 0]), float(logs[0]))
     diff = left - right
@@ -159,15 +151,7 @@ def _bracket(sol_a: ChainSolution, sol_b: ChainSolution, x: float, side: str = "
     return ScaledVal(complex(w), sol_a.logscale(x) + sol_b.logscale(x))
 
 
-def f_function(
-    prob_a: Problem,
-    prob_b: Problem,
-    lam: complex,
-    at="pi",
-    *,
-    rtol: float = RTOL,
-    atol: float = ATOL,
-) -> FSample:
+def f_function(prob_a: Problem, prob_b: Problem, lam: complex, at="pi") -> FSample:
     """The bracket functional ``F`` and the endpoint differences F1, F2.
 
     ``at='pi'`` evaluates the defining bracket at ``x = pi`` (always valid).
@@ -175,11 +159,11 @@ def f_function(
     defining one exactly when the potentials coincide on ``[b, pi]`` and the
     problems share ``d``:  bracket at ``b`` for ``b > d``, at ``d+0`` for
     ``b = d``, and bracket at ``b`` plus the jump difference at ``d`` for
-    ``b < d``.
+    ``b < d``.  The chains are solved at ``BRACKET_TOL``.
     """
 
-    sol_a = solve_chain(prob_a, lam, side="left", rtol=rtol, atol=atol)
-    sol_b = solve_chain(prob_b, lam, side="left", rtol=rtol, atol=atol)
+    sol_a = solve_chain(prob_a, lam, tol=BRACKET_TOL)
+    sol_b = solve_chain(prob_b, lam, tol=BRACKET_TOL)
     return _f_sample(sol_a, sol_b, prob_a.d, lam, at)
 
 
@@ -212,15 +196,7 @@ def _f_sample(sol_a: ChainSolution, sol_b: ChainSolution, d: float, lam: complex
     return FSample(lam=lam, F=F, F1=F1, F2=F2, at=at)
 
 
-def f_bracket_ray(
-    prob_a: Problem,
-    prob_b: Problem,
-    b: float,
-    lam: complex,
-    *,
-    rtol: float = RTOL,
-    atol: float = ATOL,
-) -> ScaledVal:
+def f_bracket_ray(prob_a: Problem, prob_b: Problem, b: float, lam: complex) -> ScaledVal:
     """``F(lam)`` through the accumulated integral identity
 
         F = (h_b - h_a) + integral_0^b (qB - qA) phi phit dt + jump terms,
@@ -234,16 +210,7 @@ def f_bracket_ray(
     init_a = np.array([[1.0, prob_a.h]], dtype=complex)
     init_b = np.array([[1.0, prob_b.h]], dtype=complex)
     res = pair_integrals(
-        prob_a,
-        prob_b,
-        lam,
-        0.0,
-        b,
-        init_a,
-        init_b,
-        [(0, 0)],
-        rtol=rtol,
-        atol=atol,
+        prob_a, prob_b, lam, 0.0, b, init_a, init_b, [(0, 0)], tol=BRACKET_TOL
     )
     base = ScaledVal(prob_b.h - prob_a.h, 0.0)  # bracket at x=0
     return res.integrals[0] + base

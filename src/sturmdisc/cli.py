@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -31,11 +32,19 @@ EXIT_COMPUTE = 2
 EXIT_PROPERTY = 3
 
 
+def _check(ok: bool, path: str, message: str) -> None:
+    """Reject an out-of-range field before anything is computed."""
+
+    if not ok:
+        raise ConfigError(path, message)
+
+
 def _search(cfg: RunConfig, path: str):
     """The section's problem and its eigenvalues inside ``modulus_bound``."""
 
     p = cfg.problem("problem", path + ".problem")
     bound = get_real(cfg.params, "modulus_bound", path)
+    _check(bound > 0, path + ".modulus_bound", "must be positive")
     halfwidth = get_real(cfg.params, "im_halfwidth", path, default=50.0)
     return p, find_eigenvalues(p, bound, im_halfwidth=halfwidth)
 
@@ -129,7 +138,11 @@ def _run_growth(cfg: RunConfig):
     y_lo = get_real(cfg.params, "y_lo", "$.growth", default=1e2)
     y_hi = get_real(cfg.params, "y_hi", "$.growth", default=1e6)
     per_decade = get_int(cfg.params, "per_decade", "$.growth", default=2)
-    ys = ray_points(y_lo, y_hi, per_decade)
+    _check(y_lo > 0, "$.growth.y_lo", "must be positive")
+    _check(y_hi > y_lo, "$.growth.y_hi", "must exceed y_lo")
+    ys = ray_points(y_lo, y_hi, per_decade) if per_decade > 0 else []
+    _check(len(ys) >= 3, "$.growth.per_decade",
+           f"gives {len(ys)} ray points; the growth fit needs at least 3")
     logs = np.empty(ys.size)
     for k, y in enumerate(ys):
         s = char_delta(p, 1j * y)
@@ -156,6 +169,9 @@ def _run_asympt(cfg: RunConfig):
     r = get_real(cfg.params, "r", "$.asympt")
     x0 = get_real(cfg.params, "x0", "$.asympt")
     m = get_int(cfg.params, "m", "$.asympt")
+    _check(0 <= r < math.pi, "$.asympt.r", "must lie in [0, pi)")
+    _check(r < x0 <= math.pi, "$.asympt.x0", "must lie in (r, pi]")
+    _check(m >= 0, "$.asympt.m", "must be non-negative")
     combo = cfg.params.get("combination", "22")
     try:
         fit = decay_order_fit(pa, pb, r, x0, combo=combo, m_claimed=m)
@@ -178,8 +194,10 @@ def _run_uniq(cfg: RunConfig):
     pa = cfg.problem("problem_a", "$.uniq.problem_a")
     pb = cfg.problem("problem_b", "$.uniq.problem_b")
     b = get_real(cfg.params, "b", "$.uniq")
+    _check(0 < b <= math.pi, "$.uniq.b", "must lie in (0, pi]")
     if mode == "iy":
         m = get_int(cfg.params, "m", "$.uniq")
+        _check(m >= 0, "$.uniq.m", "must be non-negative")
         probe = bracket_decay_probe(pa, pb, b, m)
         ok = bool(probe.passes)
         values = {"fitted_slope": probe.slope, "threshold": probe.threshold}

@@ -135,6 +135,8 @@ def growth_fit(ys, log_mags) -> GrowthFit:
 
     ys = np.asarray(ys, dtype=float)
     log_mags = np.asarray(log_mags, dtype=float)
+    if ys.size < 3:
+        raise ValueError(f"a 3-parameter growth fit needs at least 3 samples, got {ys.size}")
     design = np.column_stack(
         [np.sqrt(ys / 2.0), np.log(ys), np.ones_like(ys)]
     )
@@ -169,26 +171,21 @@ def check_counting_bound(
     l1: float,
     l2: float,
     l3: float,
-    t_grid=None,
 ) -> CountingBound:
     """Verify ``N_X(t) >= l1 N_B(t) + l2 N_Binf(t) + l3`` over a grid.
 
-    The grid defaults to all moduli present in the three sequences (the
-    counting functions are staircases, so that is exhaustive up to the
-    common truncation bound).
+    The grid is all moduli present in the three sequences (the counting
+    functions are staircases, so that is exhaustive up to the common
+    truncation bound).  Without ``seq_binf`` the ``l2`` term is dropped.
     """
 
     seqs = [s for s in (seq_x, seq_b, seq_binf) if s is not None and len(s.zeros)]
-    if seq_binf is None:
-        l2 = 0.0
-    if t_grid is None:
-        moduli = np.concatenate([np.abs(s.zeros) for s in seqs])
-        top = min(np.max(np.abs(s.zeros)) for s in seqs)
-        t_grid = np.unique(np.concatenate([moduli[moduli <= top], [top]]))
-        # staircase: check just after each jump as well
-        t_grid = np.unique(np.concatenate([t_grid, t_grid * (1 + 1e-9) + 1e-9]))
-        t_grid = t_grid[t_grid <= top]
-    t_grid = np.asarray(t_grid, dtype=float)
+    moduli = np.concatenate([np.abs(s.zeros) for s in seqs])
+    top = min(np.max(np.abs(s.zeros)) for s in seqs)
+    t_grid = np.unique(np.concatenate([moduli[moduli <= top], [top]]))
+    # staircase: check just after each jump as well
+    t_grid = np.unique(np.concatenate([t_grid, t_grid * (1 + 1e-9) + 1e-9]))
+    t_grid = t_grid[t_grid <= top]
 
     def staircase(s):
         # weighted counting function N(t) = sum of mults with |zero| <= t

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import char_delta
-from .ode import ATOL, RTOL, ChainSolution, solve_chain, solve_many
+from .ode import ChainSolution, solve_chain, solve_many
 from .problem import Problem
 from .spectrum import EigenRecord
 
@@ -67,7 +67,7 @@ def compute_norming(problem: Problem, record: EigenRecord) -> NormingRecord:
 
     m = record.multiplicity
     lam = record.lam
-    states, logs = solve_many(problem, [lam], nu_max=m - 1, rtol=RTOL, atol=ATOL)
+    states, logs = solve_many(problem, [lam], nu_max=m - 1)
     scale = math.exp(logs[0])
     comp = 1 if problem.dirichlet else 0
     kappas = [complex(states[0, nu, comp]) * scale for nu in range(m)]

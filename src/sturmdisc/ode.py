@@ -37,6 +37,12 @@ integral form avoids the catastrophic cancellation of forming the
 difference afterwards.  That loop stays apart from the walker: it carries
 two problems and bracket accumulators with their own jump term, which the
 walker would have to branch on.
+
+Accuracy is one argument, ``tol``: both loops run DOP853 through
+``_integrate`` at ``rtol = tol`` and ``atol = tol / 100``.  ``TOL`` is the
+default; ``BRACKET_TOL`` serves the brackets of two solutions (the
+Wronskian, ``F`` and its ray probes), which lose digits to the
+cancellation between their factors.
 """
 
 from __future__ import annotations
@@ -50,11 +56,10 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .expr import PotentialExpr
 from .problem import Problem
 
-RTOL = 1e-10
-ATOL = 1e-12
+TOL = 1e-10  # default relative tolerance of every solve
+BRACKET_TOL = 1e-12  # tolerance of the two-problem brackets and their ray probes
 _LOG_MAX = math.log(sys.float_info.max)
 
 
@@ -258,7 +263,19 @@ def _start(problem: Problem, side: str, n: int, nu_max: int):
     return z, math.pi, 0.0
 
 
-def _walk(problem: Problem, lams, z, a: float, b: float, *, rtol, atol, dense=False):
+def _integrate(rhs, lo: float, hi: float, y0, tol: float, dense: bool = False):
+    """One DOP853 solve over ``[lo, hi]``; the one place a tolerance reaches
+    the integrator, as ``rtol = tol`` and ``atol = tol / 100``."""
+
+    sol = solve_ivp(
+        rhs, (lo, hi), y0, method="DOP853", dense_output=dense, rtol=tol, atol=tol * 1e-2
+    )
+    if not sol.success:
+        raise RuntimeError(f"integration failed on [{lo}, {hi}]: {sol.message}")
+    return sol
+
+
+def _walk(problem: Problem, lams, z, a: float, b: float, *, tol, dense=False):
     """Advance the chain states ``z`` (shape ``(n, nu_max+1, 2)``, one row
     per lambda of ``lams``) from ``a`` to ``b``, segment by segment between
     the breakpoints of ``q`` and ``d``, through the matching at ``d``.
@@ -289,17 +306,7 @@ def _walk(problem: Problem, lams, z, a: float, b: float, *, rtol, atol, dense=Fa
                 out[:, 1:, 1] -= zz[:, :-1, 0]
             return out.ravel()
 
-        sol = solve_ivp(
-            rhs,
-            (lo, hi),
-            z.ravel(),
-            method="DOP853",
-            dense_output=dense,
-            rtol=rtol,
-            atol=atol,
-        )
-        if not sol.success:
-            raise RuntimeError(f"integration failed on [{lo}, {hi}]: {sol.message}")
+        sol = _integrate(rhs, lo, hi, z.ravel(), tol, dense)
         z = sol.y[:, -1].reshape(z.shape).copy()
         if dense:
             segments.append(_Segment(lo, hi, sol.sol, z[0]))
@@ -320,8 +327,7 @@ def solve_chain(
     x_from: float | None = None,
     x_to: float | None = None,
     init: np.ndarray | None = None,
-    rtol: float = RTOL,
-    atol: float = ATOL,
+    tol: float = TOL,
 ) -> ChainSolution:
     """Integrate the chain across ``[0, pi]`` (or a sub-interval), with
     dense output for reading interior states.
@@ -337,7 +343,7 @@ def solve_chain(
     b = b if x_to is None else x_to
     if init is not None:
         z = np.asarray(init, dtype=complex).reshape(z.shape).copy()
-    _, _, segments = _walk(problem, [lam], z, a, b, rtol=rtol, atol=atol, dense=True)
+    _, _, segments = _walk(problem, [lam], z, a, b, tol=tol, dense=True)
     return ChainSolution(problem, lam, nu_max, a, b, segments, growth_rate(lam))
 
 
@@ -347,8 +353,7 @@ def solve_many(
     *,
     side: str = "left",
     nu_max: int = 0,
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
+    tol: float = TOL,
 ):
     """Chain end states for a batch of lambda values in one integration.
 
@@ -356,13 +361,12 @@ def solve_many(
     ``(n, nu_max+1, 2)`` with ``(y, y')`` per member, and the per-lambda
     log scales.  The batch shares one step sequence and scipy's error norm
     is the RMS over all components, so a caller that needs each lambda
-    within the single-solve error budget divides ``rtol`` and ``atol`` by
-    ``sqrt(n)``.  No dense output is built.
+    within the single-solve error budget divides ``tol`` by ``sqrt(n)``.  No dense output is built.
     """
 
     lams = np.asarray(lams, dtype=complex).ravel()
     z, a, b = _start(problem, side, lams.size, nu_max)
-    states, logs, _ = _walk(problem, lams, z, a, b, rtol=rtol, atol=atol)
+    states, logs, _ = _walk(problem, lams, z, a, b, tol=tol)
     return states, logs
 
 
@@ -377,14 +381,13 @@ def fundamental_pair(
     r: float,
     x0: float,
     *,
-    rtol: float = RTOL,
-    atol: float = ATOL,
+    tol: float = TOL,
 ) -> tuple[ChainSolution, ChainSolution]:
     """Solutions ``y1, y2`` on ``[r, x0]`` with ``y1(r)=1, y1'(r)=0`` and
     ``y2(r)=0, y2'(r)=1`` (matching at ``d`` applied if it lies inside)."""
 
     y1, y2 = (
-        solve_chain(problem, lam, x_from=r, x_to=x0, init=init, rtol=rtol, atol=atol)
+        solve_chain(problem, lam, x_from=r, x_to=x0, init=init, tol=tol)
         for init in ((1.0, 0.0), (0.0, 1.0))
     )
     return y1, y2
@@ -397,17 +400,18 @@ def wronskian_check(
     x0: float = math.pi,
     n_samples: int = 7,
     *,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
+    tol: float = BRACKET_TOL,
 ) -> float:
     """Max deviation of ``y1 y2' - y1' y2`` from 1 over a sample grid.
 
     The bracket of the fundamental pair is exactly 1 at ``r`` and is
     conserved by both the equation and the matching conditions, so this is
-    an end-to-end consistency check of the integrator.
+    an end-to-end consistency check of the integrator.  Being a bracket, it
+    runs at ``BRACKET_TOL`` by default: the deviation grows like ``tol``
+    times ``exp(2 |Im sqrt(lam)| (x0 - r))``.
     """
 
-    y1, y2 = fundamental_pair(problem, lam, r, x0, rtol=rtol, atol=atol)
+    y1, y2 = fundamental_pair(problem, lam, r, x0, tol=tol)
     worst = 0.0
     for x in np.linspace(r, x0, n_samples):
         s1 = y1.state(float(x))
@@ -441,8 +445,7 @@ def pair_integrals(
     init_b: np.ndarray,
     pairs: Sequence[tuple[int, int]],
     *,
-    rtol: float = RTOL,
-    atol: float = ATOL,
+    tol: float = TOL,
 ) -> PairResult:
     """Advance solutions of two problems together, accumulating for each
     requested column pair ``(i, j)`` the bracket increment
@@ -501,10 +504,7 @@ def pair_integrals(
             return out
 
         flat = np.concatenate([za.ravel(), zb.ravel(), acc])
-        sol = solve_ivp(rhs, (lo, hi), flat, method="DOP853", rtol=rtol, atol=atol)
-        if not sol.success:
-            raise RuntimeError(f"integration failed on [{lo}, {hi}]: {sol.message}")
-        flat = sol.y[:, -1]
+        flat = _integrate(rhs, lo, hi, flat, tol).y[:, -1]
         za = flat[: 2 * na].reshape(na, 2).copy()
         zb = flat[2 * na : 2 * na + 2 * nb].reshape(nb, 2).copy()
         acc = flat[2 * na + 2 * nb :].copy()

@@ -163,28 +163,18 @@ def _rect_path(re_lo, re_hi, im_lo, im_hi, n_re, n_im):
     return path
 
 
-def count_zeros(
-    f_batch,
-    rect,
-    *,
-    n_re: int | None = None,
-    n_im: int | None = None,
-) -> int:
+def count_zeros(f_batch, rect) -> int:
     """Number of zeros (with multiplicity) of an analytic function inside an
     axis-aligned rectangle ``(re_lo, re_hi, im_lo, im_hi)``."""
 
     cache = f_batch if isinstance(f_batch, _Cache) else _Cache(f_batch)
     re_lo, re_hi, im_lo, im_hi = rect
-    if n_re is None:
-        # sample density follows the phase rate ~ pi * d(sqrt|lam|)/d(Re lam)
-        span = abs(math.sqrt(abs(re_hi)) - math.sqrt(abs(re_lo))) + (
-            math.sqrt(abs(re_hi)) + math.sqrt(abs(re_lo))
-            if re_lo < 0 < re_hi
-            else 0.0
-        )
-        n_re = max(8, int(2.5 * span) + 4)
-    if n_im is None:
-        n_im = max(6, int(0.35 * (im_hi - im_lo)))
+    # sample density follows the phase rate ~ pi * d(sqrt|lam|)/d(Re lam)
+    span = abs(math.sqrt(abs(re_hi)) - math.sqrt(abs(re_lo))) + (
+        math.sqrt(abs(re_hi)) + math.sqrt(abs(re_lo)) if re_lo < 0 < re_hi else 0.0
+    )
+    n_re = max(8, int(2.5 * span) + 4)
+    n_im = max(6, int(0.35 * (im_hi - im_lo)))
     path = _rect_path(re_lo, re_hi, im_lo, im_hi, n_re, n_im)
     return _winding_closed(cache, path)
 
@@ -222,16 +212,16 @@ def multiplicity_probe(
 # ---------------------------------------------------------------------------
 
 
-def _problem_batch(problem: Problem, rtol=1e-8, atol=1e-10):
+def _problem_batch(problem: Problem, tol: float):
     def f_batch(lams):
-        vals, _, _ = delta_many(problem, lams, rtol=rtol, atol=atol)
+        vals, _, _ = delta_many(problem, lams, tol=tol)
         return vals
 
     return f_batch
 
 
-# (coarse stage?, rtol, atol, step size that ends the stage relative to 1+|lam|)
-_NEWTON_STAGES = ((True, 1e-7, 1e-9, 1e-5), (False, 1e-11, 1e-13, 5e-13))
+# (coarse stage?, tol, step size that ends the stage relative to 1+|lam|)
+_NEWTON_STAGES = ((True, 1e-7, 1e-5), (False, 1e-11, 5e-13))
 
 
 def _polish(problem: Problem, starts, mults=None, *, maxit: int = 60):
@@ -257,14 +247,11 @@ def _polish(problem: Problem, starts, mults=None, *, maxit: int = 60):
     residual = np.full(lam.size, math.inf)
     active = np.ones(lam.size, dtype=bool)
     while active.any():
-        for stage_coarse, rtol, atol, stop in _NEWTON_STAGES:
+        for stage_coarse, tol, stop in _NEWTON_STAGES:
             idx = np.flatnonzero(active & (coarse == stage_coarse))
             if idx.size == 0:
                 continue
-            shrink = math.sqrt(idx.size)
-            states, _ = solve_many(
-                problem, lam[idx], nu_max=1, rtol=rtol / shrink, atol=atol / shrink
-            )
+            states, _ = solve_many(problem, lam[idx], nu_max=1, tol=tol / math.sqrt(idx.size))
             d, _ = _deltas(problem, states)
             evals[idx] += 1
             flat = d[:, 1] == 0
@@ -308,7 +295,7 @@ class _Leaf:
 
 _START_FRACTIONS = ((0.5, 0.5), (0.3, 0.3), (0.7, 0.62))
 _LEAF_SIZE = 2.0  # rectangles this small are not split further
-_COUNT_RTOL = 3e-7  # integrator tolerance of the winding counts
+_COUNT_TOL = 3e-7  # integrator tolerance of the winding counts
 
 
 def find_eigenvalues(
@@ -330,7 +317,7 @@ def find_eigenvalues(
     """
 
     B = float(modulus_bound)
-    cache = _Cache(_problem_batch(problem, rtol=_COUNT_RTOL, atol=_COUNT_RTOL * 1e-2))
+    cache = _Cache(_problem_batch(problem, _COUNT_TOL))
     c = min(im_halfwidth, B + 1.0)
     outer = (-B - 0.372, B + 0.413, -c - 0.0931, c + 0.1043)
 
@@ -350,9 +337,11 @@ def find_eigenvalues(
 
     # Slice the strip at sqrt-spaced cuts (between the typical eigenvalue
     # positions ~ (n + delta)^2) so most slices isolate one root right away;
-    # binary subdivision below only has to clean up collisions.
+    # binary subdivision below only has to clean up collisions.  The cut at
+    # -offset keeps a root near 0 out of the long slice to the left, where
+    # Newton would start far from it.
     def slice_counts(offset):
-        cuts = [outer[0]]
+        cuts = [outer[0]] + ([-offset] if -offset > outer[0] else [])
         n = 0
         while (n + offset) ** 2 < outer[1] - 1.0:
             cuts.append((n + offset) ** 2)

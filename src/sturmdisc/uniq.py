@@ -18,10 +18,8 @@ uniqueness arguments control analytically:
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from . import expr as ex
 from .expr import Piece, PotentialExpr
 from .charfn import _f_sample, char_delta, f_bracket_ray
 from .entire import ProductModel, check_counting_bound, CountingBound
-from .ode import growth_rate, solve_chain
+from .ode import BRACKET_TOL, solve_chain
 from .problem import Problem
 from .spectrum import ZeroSequence
 
@@ -83,9 +81,6 @@ def bracket_decay_probe(
     b: float,
     m: int,
     ys=None,
-    *,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
 ) -> RayProbe:
     """Fit the decay of ``|F(iy)| exp(-2 mu(iy) b)`` against ``log y``.
 
@@ -100,7 +95,7 @@ def bracket_decay_probe(
     ys = np.asarray(ys, dtype=float)
     logs = np.empty(ys.size)
     for k, y in enumerate(ys):
-        F = f_bracket_ray(prob_a, prob_b, b, 1j * y, rtol=rtol, atol=atol)
+        F = f_bracket_ray(prob_a, prob_b, b, 1j * y)
         # F.log_abs already carries the 2 mu b growth of the bracket scale
         logs[k] = math.log(abs(F.val)) if F.val != 0 else -math.inf
     good = np.isfinite(logs)
@@ -124,13 +119,7 @@ class ConsistencyReport:
 
 
 def collapse_consistency(
-    prob_a: Problem,
-    prob_b: Problem,
-    b: float,
-    lams=None,
-    *,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
+    prob_a: Problem, prob_b: Problem, b: float, lams=None
 ) -> ConsistencyReport:
     """Relative agreement of the collapsed evaluation of ``F`` at ``b`` with
     its defining bracket at ``pi``, over a grid of lambda values.
@@ -149,8 +138,8 @@ def collapse_consistency(
     rels = np.empty(lams.size)
     for k, lam in enumerate(lams.tolist()):
         # both forms read the same two chains, so each is solved once
-        sol_a = solve_chain(prob_a, lam, side="left", rtol=rtol, atol=atol)
-        sol_b = solve_chain(prob_b, lam, side="left", rtol=rtol, atol=atol)
+        sol_a = solve_chain(prob_a, lam, tol=BRACKET_TOL)
+        sol_b = solve_chain(prob_b, lam, tol=BRACKET_TOL)
         ref = _f_sample(sol_a, sol_b, prob_a.d, lam, "pi")
         col = _f_sample(sol_a, sol_b, prob_a.d, lam, b)
         diff = ref.F - col.F
@@ -162,6 +151,10 @@ def collapse_consistency(
 # ---------------------------------------------------------------------------
 # Ratio probe against prescribed spectral data
 # ---------------------------------------------------------------------------
+
+
+# |delta(0)| below this fraction of |phi(pi)| + |phi'(pi)| counts as a zero
+_ZERO_AT_ORIGIN = 1e-8
 
 
 @dataclass
@@ -181,29 +174,29 @@ def product_ratio_probe(
     *,
     seq_robin: ZeroSequence | None = None,
     seq_dirichlet: ZeroSequence | None = None,
-    use_exact_products: bool = True,
     ys=None,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
 ) -> RatioReport:
     """Compare ``|F(iy)|`` with ``|G(iy)|`` on the ray, where ``G`` collects
     one copy of the characteristic function for each of the four spectra of
     the pair (both boundary conditions, both problems).
 
-    With ``use_exact_products`` the four factors are evaluated directly as
+    Without zero sequences the four factors are evaluated directly as
     characteristic functions (the full-spectrum products, with no
-    truncation); explicit finite ``ZeroSequence`` data can be supplied
-    instead, in which case the counting comparison against the base spectra
-    is run first.  The ratio should decay like ``exp(-mu (4 pi - 2 b))``
-    with ``mu = sqrt(y/2)``; the report carries the fitted rate and whether
-    the tail is monotonically decreasing.
+    truncation), each normalized by its value at 0, so 0 must not be an
+    eigenvalue of either problem or of its Dirichlet variant.  Explicit
+    finite ``ZeroSequence`` data (both ``seq_robin`` and ``seq_dirichlet``)
+    can be supplied instead, in which case the counting comparison against
+    the base spectra is run first.  The ratio should decay like
+    ``exp(-mu (4 pi - 2 b))`` with ``mu = sqrt(y/2)``; the report carries
+    the fitted rate and whether the tail is monotonically decreasing.
     """
 
     if ys is None:
         ys = np.geomspace(1e2, 1e6, 9)
     ys = np.asarray(ys, dtype=float)
+    exact = seq_robin is None and seq_dirichlet is None
     counting = None
-    if not use_exact_products:
+    if not exact:
         if seq_robin is None or seq_dirichlet is None:
             raise ValueError("explicit products need both zero sequences")
         counting = check_counting_bound(
@@ -214,19 +207,26 @@ def product_ratio_probe(
         # each factor is normalized by its value at 0 (the product form
         # with constant 1), so the comparison matches the product route
         log_at_zero = []
-        for prob in (prob_a, prob_b):
+        for name, prob in (("problem_a", prob_a), ("problem_b", prob_b)):
             s0 = char_delta(prob, 0.0)
+            scale = abs(s0.phi_end.val) + abs(s0.dphi_end.val)
+            for what, val in (("delta", s0.delta), ("delta_inf", s0.delta_inf)):
+                if abs(val.val) <= _ZERO_AT_ORIGIN * scale:
+                    raise ValueError(
+                        f"{name}: {what}(0) = 0, so the normalization at 0 "
+                        "fails; shift q by a constant to move the spectrum off 0"
+                    )
             log_at_zero.append(s0.delta.log_abs + s0.delta_inf.log_abs)
 
     log_ratios = np.empty(ys.size)
     for k, y in enumerate(ys):
         lam = 1j * y
-        F = f_bracket_ray(prob_a, prob_b, b, lam, rtol=rtol, atol=atol)
+        F = f_bracket_ray(prob_a, prob_b, b, lam)
         logF = F.log_abs
-        if use_exact_products:
+        if exact:
             logG = 0.0
             for prob in (prob_a, prob_b):
-                s = char_delta(prob, lam, rtol=1e-9, atol=1e-11)
+                s = char_delta(prob, lam, tol=1e-9)
                 logG += s.delta.log_abs + s.delta_inf.log_abs
             for log0 in log_at_zero:
                 logG -= log0

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmdisc.charfn import (
     char_delta,
@@ -56,7 +58,34 @@ class TestClosedForms:
         assert weyl_m(free(), lam) == pytest.approx(want, rel=1e-8)
 
 
+def _complex(lo, hi):
+    return st.builds(complex, st.floats(lo, hi), st.floats(lo, hi))
+
+
+@st.composite
+def consistency_setups(draw):
+    q = "%.4f * cos(%d * x) + %.4f" % (
+        draw(st.floats(-2.0, 2.0)), draw(st.integers(1, 4)), draw(st.floats(-2.0, 2.0))
+    )
+    problem = Problem(
+        q=PotentialExpr.parse(q),
+        h=draw(_complex(-1.0, 1.0)),
+        H=draw(st.one_of(st.none(), _complex(-1.0, 1.0))),  # None: Dirichlet
+        beta=draw(st.floats(0.4, 3.0)),
+        gamma=draw(_complex(-1.0, 1.0)),
+        d=draw(st.floats(0.3, PI - 0.3)),
+    )
+    lam = complex(draw(st.floats(-10.0, 200.0)), draw(st.floats(-8.0, 8.0)))
+    return problem, lam
+
+
 class TestConsistency:
+    @given(consistency_setups())
+    @settings(max_examples=40, deadline=None)
+    def test_random_problems_agree(self, setup):
+        problem, lam = setup
+        assert delta_consistency(problem, lam) < 1e-8
+
     @pytest.mark.parametrize(
         "kw",
         [
@@ -73,10 +102,10 @@ class TestConsistency:
     def test_derivatives_match_central_difference(self):
         p = Problem(q=PotentialExpr.parse("sin(x)"), h=0.2, beta=1.5, gamma=0.1j)
         lam = 13.0
-        sample = char_delta(p, lam, nu_max=2, rtol=1e-12, atol=1e-14)
+        sample = char_delta(p, lam, nu_max=2, tol=1e-12)
         eps = 1e-4  # second difference is noise-limited below this
-        hi = char_delta(p, lam + eps, rtol=1e-12, atol=1e-14).delta.value
-        lo = char_delta(p, lam - eps, rtol=1e-12, atol=1e-14).delta.value
+        hi = char_delta(p, lam + eps, tol=1e-12).delta.value
+        lo = char_delta(p, lam - eps, tol=1e-12).delta.value
         fd1 = (hi - lo) / (2 * eps)
         fd2 = (hi - 2 * sample.delta.value + lo) / eps**2
         assert sample.ddelta[1].value == pytest.approx(fd1, rel=1e-6)

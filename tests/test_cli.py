@@ -249,6 +249,46 @@ class TestValidationErrors:
         assert main(["spectrum", "--config", cfg]) == 1
         assert "$.spectrum.im_halfwidht: unknown field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, section, path",
+        [
+            ("spectrum", {"problem": "a", "modulus_bound": -5}, "$.spectrum.modulus_bound"),
+            ("norming", {"problem": "a", "modulus_bound": 0}, "$.norming.modulus_bound"),
+            ("product", {"problem": "a", "modulus_bound": -1}, "$.product.modulus_bound"),
+            ("growth", {"problem": "a", "per_decade": 0}, "$.growth.per_decade"),
+            ("growth", {"problem": "a", "y_lo": 100, "y_hi": 1000, "per_decade": 1},
+             "$.growth.per_decade"),
+            ("growth", {"problem": "a", "y_lo": 0}, "$.growth.y_lo"),
+            ("growth", {"problem": "a", "y_lo": 1e4, "y_hi": 1e3}, "$.growth.y_hi"),
+            ("asympt", {"problem_a": "a", "problem_b": "b", "r": 0.5, "x0": 3.0, "m": -3},
+             "$.asympt.m"),
+            ("asympt", {"problem_a": "a", "problem_b": "b", "r": 3.0, "x0": 0.5, "m": 0},
+             "$.asympt.x0"),
+            ("asympt", {"problem_a": "a", "problem_b": "b", "r": 0.5, "x0": 4.0, "m": 0},
+             "$.asympt.x0"),
+            ("asympt", {"problem_a": "a", "problem_b": "b", "r": -1.0, "x0": 3.0, "m": 0},
+             "$.asympt.r"),
+            ("uniq", {"mode": "iy", "problem_a": "a", "problem_b": "b", "b": 2.0, "m": -3},
+             "$.uniq.m"),
+            ("uniq", {"mode": "collapse", "problem_a": "a", "problem_b": "b", "b": -1.0},
+             "$.uniq.b"),
+            ("uniq", {"mode": "ratio", "problem_a": "a", "problem_b": "b", "b": 4.0},
+             "$.uniq.b"),
+        ],
+    )
+    def test_out_of_range_field(self, tmp_path, capsys, monkeypatch, command, section, path):
+        def unreachable(*args, **kw):
+            raise AssertionError("the library ran before the config was checked")
+
+        for name in ("find_eigenvalues", "char_delta", "growth_fit", "decay_order_fit",
+                     "bracket_decay_probe", "collapse_consistency", "product_ratio_probe"):
+            monkeypatch.setattr(f"sturmdisc.cli.{name}", unreachable)
+        cfg = write_config(
+            tmp_path, {"problems": {"a": FREE, "b": {"q": "1"}}, command: section}
+        )
+        assert main([command, "--config", cfg]) == 1
+        assert path in capsys.readouterr().err
+
     def test_uniq_bad_mode(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -263,6 +303,21 @@ class TestValidationErrors:
             },
         )
         assert main(["uniq", "--config", cfg]) == 1
+
+
+class TestComputeExit:
+    def test_ratio_probe_with_eigenvalue_at_zero(self, tmp_path, capsys):
+        # FREE has the Neumann eigenvalue 0, which the ratio's normalization
+        # at 0 cannot divide by
+        cfg = write_config(
+            tmp_path,
+            {
+                "problems": {"a": FREE, "b": {"q": "0.5", "h": 0, "H": 0}},
+                "uniq": {"mode": "ratio", "problem_a": "a", "problem_b": "b", "b": 2.0},
+            },
+        )
+        assert main(["uniq", "--config", cfg]) == 2
+        assert "problem_a: delta(0) = 0" in capsys.readouterr().err
 
 
 class TestPropertyExit:

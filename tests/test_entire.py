@@ -124,6 +124,10 @@ class TestGrowthFit:
         assert abs(fit.c) < 1e-10
         assert abs(fit.p) < 1e-10
 
+    def test_needs_three_samples(self):
+        with pytest.raises(ValueError, match="at least 3 samples"):
+            growth_fit([1e2, 1e3], [1.0, 2.0])
+
     def test_ratio_additivity(self):
         # fitting f/g gives the difference of the fitted exponents
         ys = ray_points(1e2, 1e6)

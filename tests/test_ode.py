@@ -1,20 +1,23 @@
 """Tests for the scaled chain integrator."""
 
 import cmath
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sturmdisc
 from sturmdisc import ode
 from sturmdisc.charfn import _deltas, char_delta, delta_consistency
 from sturmdisc.expr import PotentialExpr
 from sturmdisc.norming import compute_norming
 from sturmdisc.ode import (
-    ATOL,
-    RTOL,
+    TOL,
     ScaledVal,
     fundamental_pair,
     growth_rate,
@@ -143,7 +146,7 @@ class TestScaling:
         lams = np.array([4.0, 9.0 + 1.0j, 30.0])
         states, logs = solve_many(p, lams)
         for k, lam in enumerate(lams):
-            sol = solve_chain(p, complex(lam), rtol=1e-9, atol=1e-11)
+            sol = solve_chain(p, complex(lam), tol=1e-9)
             end = sol.state(PI)
             ref = sol.end_logscale
             assert states[k, 0, 0] * math.exp(logs[k]) == pytest.approx(
@@ -172,9 +175,9 @@ class TestWronskian:
     @settings(max_examples=50, deadline=None)
     def test_pair_bracket_is_one(self, setup):
         problem, lam = setup
-        # rtol 1e-13: the deviation scales like rtol * exp(2 mu pi), and the
+        # tol 1e-13: the deviation scales like tol * exp(2 mu pi), and the
         # corner of the draw domain (Im lam near 8) eats three decades of it
-        assert wronskian_check(problem, lam, rtol=1e-13, atol=1e-15) < 1e-9
+        assert wronskian_check(problem, lam, tol=1e-13) < 1e-9
 
     def test_fundamental_pair_initial_data(self):
         p = free_problem()
@@ -190,7 +193,7 @@ class TestWronskian:
     )
     def test_small_real_part_corner(self):
         p = Problem(q="0", beta=2.0, d=1.3)
-        assert wronskian_check(p, 1 + 8j, rtol=1e-13, atol=1e-15) < 1e-9
+        assert wronskian_check(p, 1 + 8j, tol=1e-13) < 1e-9
 
 
 class TestOneWalker:
@@ -208,7 +211,7 @@ class TestOneWalker:
         p = self.PROBLEMS[name]
         for lam in (4.0, 3.7 + 0.2j, 250.0, 1e2j, 1e4j):
             sample = char_delta(p, lam, nu_max=nu_max)
-            states, logs = solve_many(p, [lam], nu_max=nu_max, rtol=RTOL, atol=ATOL)
+            states, logs = solve_many(p, [lam], nu_max=nu_max, tol=TOL)
             d, d_inf = _deltas(p, states[0])
             sol = solve_chain(p, lam, nu_max=nu_max)
             z = sol.state(PI, side="-")
@@ -320,3 +323,43 @@ class TestPairIntegrals:
         )
         want = np.trapezoid(vals, xs)
         assert res.integrals[0].value == pytest.approx(want, rel=1e-6)
+
+
+class TestAccuracyArgument:
+    """One accuracy argument, ``tol``, reaches the integrator; ``atol`` is
+    derived from it and nothing else sets a tolerance."""
+
+    TAKES_TOL = {
+        "sturmdisc.ode.solve_chain",
+        "sturmdisc.ode.solve_many",
+        "sturmdisc.ode.fundamental_pair",
+        "sturmdisc.ode.wronskian_check",
+        "sturmdisc.ode.pair_integrals",
+        "sturmdisc.charfn.char_delta",
+        "sturmdisc.charfn.delta_many",
+    }
+
+    @staticmethod
+    def public_callables():
+        seen = {}
+        for info in pkgutil.iter_modules(sturmdisc.__path__):
+            module = importlib.import_module(f"sturmdisc.{info.name}")
+            for name, obj in vars(module).items():
+                if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                if inspect.isfunction(obj):
+                    seen[f"{module.__name__}.{name}"] = obj
+                elif inspect.isclass(obj) and not issubclass(obj, Exception):
+                    seen[f"{module.__name__}.{name}"] = obj
+                    for attr, member in vars(obj).items():
+                        if inspect.isfunction(member) and not attr.startswith("_"):
+                            seen[f"{module.__name__}.{name}.{attr}"] = member
+        return seen
+
+    def test_only_the_integrator_entry_points_take_tol(self):
+        takes = {}
+        for qualname, obj in self.public_callables().items():
+            params = set(inspect.signature(obj).parameters)
+            assert not params & {"rtol", "atol"}, qualname
+            takes[qualname] = "tol" in params
+        assert {name for name, has in takes.items() if has} == self.TAKES_TOL

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmdisc import spectrum
 from sturmdisc.charfn import char_delta
 from sturmdisc.expr import PotentialExpr
 from sturmdisc.problem import Problem
@@ -72,6 +73,24 @@ class TestClassicalSpectra:
         for got, expect in zip(lams, want):
             assert abs(got - expect) < 1e-8
 
+    def test_root_near_zero_has_its_own_slice(self, monkeypatch):
+        sizes = []
+        solve_many = spectrum.solve_many
+
+        def counting(problem, lams, **kw):
+            sizes.append(np.size(lams))
+            return solve_many(problem, lams, **kw)
+
+        monkeypatch.setattr(spectrum, "solve_many", counting)
+        records = find_eigenvalues(Problem(q=PotentialExpr.parse("0.01")), 370.0)
+        # a Newton walk from the middle of [-370, 0] to the root near 0
+        # would be about 45 solves that no other leaf shares
+        assert sizes.count(1) <= 2
+        lams = sorted((r.lam for r in records), key=lambda z: z.real)
+        assert len(lams) == 20
+        for n, lam in enumerate(lams):
+            assert abs(lam - (n * n + 0.01)) < 1e-8
+
     def test_all_simple(self):
         for r in find_eigenvalues(free(), 60.0):
             assert r.multiplicity == 1
@@ -123,7 +142,7 @@ class TestComplexPotential:
         records = find_eigenvalues(p, 40.0)
         assert len(records) >= 5
         for r in records:
-            s = char_delta(p, r.lam, rtol=1e-12, atol=1e-14)
+            s = char_delta(p, r.lam, tol=1e-12)
             # relative smallness of delta at the root
             scale = char_delta(p, r.lam + 0.5).delta.log_abs
             assert s.delta.log_abs - scale < math.log(1e-7)
@@ -155,8 +174,8 @@ def scalar_newton(problem, lam0, mult=1, maxit=60):
     lam = complex(lam0)
     coarse, polish_left = True, 2
     for _ in range(maxit):
-        tol = (1e-7, 1e-9) if coarse else (1e-11, 1e-13)
-        sample = char_delta(problem, lam, nu_max=1, rtol=tol[0], atol=tol[1])
+        tol = 1e-7 if coarse else 1e-11
+        sample = char_delta(problem, lam, nu_max=1, tol=tol)
         d0, d1 = sample.ddelta[0], sample.ddelta[1]
         if d1.val == 0:
             break

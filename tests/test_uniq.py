@@ -99,8 +99,8 @@ class TestCollapsedEvaluation:
         lams = self.LAMS[:4]
         want = []
         for lam in lams:
-            ref = f_function(p, pb, complex(lam), at="pi", rtol=1e-12, atol=1e-14).F
-            col = f_function(p, pb, complex(lam), at=b, rtol=1e-12, atol=1e-14).F
+            ref = f_function(p, pb, complex(lam), at="pi").F
+            col = f_function(p, pb, complex(lam), at=b).F
             want.append(math.exp((ref - col).log_abs - max(ref.log_abs, col.log_abs)))
         calls = []
 
@@ -144,13 +144,30 @@ class TestRatioProbe:
             lam = 1j * y
             logG = 0.0
             for prob in (p, pb):
-                s = char_delta(prob, lam, rtol=1e-9, atol=1e-11)
+                s = char_delta(prob, lam, tol=1e-9)
                 logG += s.delta.log_abs + s.delta_inf.log_abs
             for prob in (p, pb):
                 s0 = char_delta(prob, 0.0)
                 logG -= s0.delta.log_abs + s0.delta_inf.log_abs
-            logF = f_bracket_ray(p, pb, b, lam, rtol=1e-12, atol=1e-14).log_abs
+            logF = f_bracket_ray(p, pb, b, lam).log_abs
             assert rep.log_ratios[k] == logF - logG
+
+    def test_zero_at_origin_is_refused(self, monkeypatch):
+        # Problem(q="0") has the Neumann eigenvalue 0, so delta(0) = 0
+        p = Problem(q=PotentialExpr.parse("0"))
+        pb = modify_below(p, 2.0, m=0)
+
+        def unreachable(*args, **kw):
+            raise AssertionError("the ray loop ran")
+
+        monkeypatch.setattr(uniq, "f_bracket_ray", unreachable)
+        ys = np.array([1e2, 1e3])
+        with pytest.raises(ValueError, match=r"problem_a: delta\(0\) = 0.*shift q"):
+            product_ratio_probe(p, pb, 2.0, ys=ys)
+        # q = -1/4: phi(x, 0) = cos(x/2), so delta_inf(0) = -phi(pi, 0) = 0
+        quarter = Problem(q=PotentialExpr.parse("-0.25"))
+        with pytest.raises(ValueError, match=r"problem_b: delta_inf\(0\) = 0"):
+            product_ratio_probe(Problem(q=PotentialExpr.parse("1")), quarter, 2.0, ys=ys)
 
     def test_exact_products_rate(self):
         b = 2.0
@@ -175,7 +192,6 @@ class TestRatioProbe:
             b,
             seq_robin=robin,
             seq_dirichlet=dirich,
-            use_exact_products=False,
             ys=np.geomspace(1e2, 1e4, 5),
         )
         assert rep.counting is not None
@@ -186,4 +202,4 @@ class TestRatioProbe:
         p = Problem(q=PotentialExpr.parse("0"))
         pb = modify_below(p, 2.0, m=0)
         with pytest.raises(ValueError):
-            product_ratio_probe(p, pb, 2.0, use_exact_products=False)
+            product_ratio_probe(p, pb, 2.0, seq_robin=ZeroSequence([1.0], [1]))
