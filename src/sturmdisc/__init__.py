@@ -6,7 +6,7 @@ ray-asymptotic probes of the uniqueness machinery."""
 from .expr import ExprError, PotentialExpr, parse_expr
 from .problem import Problem
 from .ode import ScaledVal, fundamental_pair, pair_integrals, solve_chain
-from .charfn import char_delta, delta_many, f_function, weyl_m
+from .charfn import char_delta, delta_many, f_function
 from .spectrum import (
     EigenRecord,
     ZeroSequence,
@@ -22,7 +22,7 @@ from .entire import (
     number_ray_check,
     truncated_product,
 )
-from .asympt import build_expansion, decay_order_fit, leading_phi, s_series
+from .asympt import build_expansion, decay_order_fit, s_series
 from .uniq import collapse_consistency, bracket_decay_probe, modify_below, product_ratio_probe
 
 __version__ = "0.1.0"
@@ -39,7 +39,6 @@ __all__ = [
     "char_delta",
     "delta_many",
     "f_function",
-    "weyl_m",
     "EigenRecord",
     "ZeroSequence",
     "find_dirichlet_eigenvalues",
@@ -55,7 +54,6 @@ __all__ = [
     "truncated_product",
     "build_expansion",
     "decay_order_fit",
-    "leading_phi",
     "s_series",
     "modify_below",
     "collapse_consistency",

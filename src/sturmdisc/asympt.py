@@ -2,8 +2,6 @@
 
 Three related tools live here:
 
-* closed-form leading terms of ``phi`` across the discontinuity
-  (:func:`leading_phi`);
 * the recursive coefficient tables ``f_{p,j}`` assembled into ``a_j``/``b_j``
   for the expansion of the sine-normalized solution in the half-power
   kernels ``nu_j(x, lam) = sin/cos(sqrt(lam) x) / (2 sqrt(lam))^j``
@@ -43,20 +41,6 @@ def nu_kernel(j: int, x, lam: complex):
     s = cmath.sqrt(lam)
     base = np.sin(s * np.asarray(x)) if j % 2 == 0 else np.cos(s * np.asarray(x))
     return base / (2 * s) ** j
-
-
-def leading_phi(problem: Problem, x: float, lam: complex) -> tuple[complex, complex]:
-    """Leading large-lambda form of ``(phi, phi')`` (errors are one order of
-    ``1/sqrt(lam)`` down, uniformly on compacts in x)."""
-
-    s = cmath.sqrt(lam)
-    d = problem.d
-    if x <= d:
-        return cmath.cos(s * x), -s * cmath.sin(s * x)
-    b1, b2 = problem.b1, problem.b2
-    phi = b1 * cmath.cos(s * x) + b2 * cmath.cos(s * (2 * d - x))
-    dphi = s * (-b1 * cmath.sin(s * x) + b2 * cmath.sin(s * (2 * d - x)))
-    return phi, dphi
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ offending field so a bad config points at itself.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .expr import ExprError, PotentialExpr
 from .problem import Problem

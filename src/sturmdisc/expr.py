@@ -1,9 +1,9 @@
 """Potential expressions: a tiny arithmetic language over the variable ``x``.
 
-Potentials are entered as strings like ``"cos(x) + 0.5i*sin(2*x)"`` and kept
-as ASTs so they can be differentiated symbolically (the higher-order
-expansion tables need exact derivatives of polynomial potentials) and
-compiled to fast numpy callables for the ODE right-hand sides.
+Potentials are entered as strings like ``"cos(x) + 0.5i*sin(2*x)"``, parsed
+to ASTs and compiled to numpy callables for the ODE right-hand sides.  The
+AST stays available so that a polynomial potential can be read off exactly
+(:func:`as_polynomial`) and so that a splice can add a term to a piece.
 
 Grammar (no implicit multiplication, ``^`` only with unsigned integer
 exponents)::
@@ -93,82 +93,6 @@ class Neg(Node):
 
 
 X = Var()
-ZERO = Const(0.0)
-ONE = Const(1.0)
-
-
-def _is_const(node: Node, value: complex | None = None) -> bool:
-    if not isinstance(node, Const):
-        return False
-    return value is None or node.value == value
-
-
-# Smart constructors with light constant folding, so printed derivatives do
-# not drown in `0*...` noise.
-
-
-def add(a: Node, b: Node) -> Node:
-    if _is_const(a, 0):
-        return b
-    if _is_const(b, 0):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    return BinOp("+", a, b)
-
-
-def sub(a: Node, b: Node) -> Node:
-    if _is_const(b, 0):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if _is_const(a, 0):
-        return neg(b)
-    return BinOp("-", a, b)
-
-
-def mul(a: Node, b: Node) -> Node:
-    if _is_const(a, 0) or _is_const(b, 0):
-        return ZERO
-    if _is_const(a, 1):
-        return b
-    if _is_const(b, 1):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    return BinOp("*", a, b)
-
-
-def div(a: Node, b: Node) -> Node:
-    if _is_const(a, 0):
-        return ZERO
-    if _is_const(b, 1):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        if b.value == 0:
-            raise ExprError("division by constant zero")
-        return Const(a.value / b.value)
-    return BinOp("/", a, b)
-
-
-def neg(a: Node) -> Node:
-    if isinstance(a, Const):
-        return Const(-a.value)
-    if isinstance(a, Neg):
-        return a.arg
-    return Neg(a)
-
-
-def powi(base: Node, n: int) -> Node:
-    if n < 0:
-        raise ExprError("exponent must be an unsigned integer")
-    if n == 0:
-        return ONE
-    if n == 1:
-        return base
-    if isinstance(base, Const):
-        return Const(base.value**n)
-    return Pow(base, n)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +153,13 @@ class _Parser:
                 self.pos += 1
             if self.pos == start:
                 raise ExprError("exponent must be an unsigned integer", start)
-            node = Pow(node, int(self.src[start : self.pos])) if not isinstance(
-                node, Const
-            ) else Const(node.value ** int(self.src[start : self.pos]))
+            n = int(self.src[start : self.pos])
+            if not isinstance(node, Const):
+                return Pow(node, n)
+            try:
+                return Const(node.value**n)
+            except OverflowError:
+                raise ExprError("constant power overflows", start) from None
         return node
 
     def base(self) -> Node:
@@ -287,6 +215,8 @@ class _Parser:
             value = float(text)
         except ValueError:
             raise ExprError(f"bad number {text!r}", start) from None
+        if not math.isfinite(value):
+            raise ExprError(f"number {text!r} out of range", start)
         if self.pos < len(self.src) and self.src[self.pos] == "i":
             self.pos += 1
             return Const(value * 1j)
@@ -302,93 +232,6 @@ def parse_expr(source: str) -> Node:
 # ---------------------------------------------------------------------------
 # AST operations
 # ---------------------------------------------------------------------------
-
-
-def differentiate(node: Node) -> Node:
-    """Symbolic derivative with respect to ``x``."""
-
-    if isinstance(node, Const):
-        return ZERO
-    if isinstance(node, Var):
-        return ONE
-    if isinstance(node, Neg):
-        return neg(differentiate(node.arg))
-    if isinstance(node, BinOp):
-        da, db = differentiate(node.left), differentiate(node.right)
-        if node.op == "+":
-            return add(da, db)
-        if node.op == "-":
-            return sub(da, db)
-        if node.op == "*":
-            return add(mul(da, node.right), mul(node.left, db))
-        if node.op == "/":
-            num = sub(mul(da, node.right), mul(node.left, db))
-            return div(num, powi(node.right, 2))
-    if isinstance(node, Pow):
-        inner = differentiate(node.base)
-        return mul(mul(Const(node.exponent), powi(node.base, node.exponent - 1)), inner)
-    if isinstance(node, Call):
-        inner = differentiate(node.arg)
-        outer = {
-            "sin": lambda u: Call("cos", u),
-            "cos": lambda u: neg(Call("sin", u)),
-            "exp": lambda u: Call("exp", u),
-            "sinh": lambda u: Call("cosh", u),
-            "cosh": lambda u: Call("sinh", u),
-        }[node.func](node.arg)
-        return mul(outer, inner)
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _fmt_const(value: complex) -> str:
-    if value.imag == 0:
-        real = value.real
-        if real == int(real) and abs(real) < 1e16:
-            return str(int(real))
-        return repr(real)
-    if value.real == 0:
-        imag = value.imag
-        if imag == int(imag) and abs(imag) < 1e16:
-            return f"{int(imag)}i"
-        return f"{imag!r}i"
-    return f"({_fmt_const(value.real)}+{_fmt_const(value.imag * 1j)})"
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def to_source(node: Node) -> str:
-    """Render the AST back to grammar-conformant source text."""
-
-    def render(n: Node, parent_prec: int, right_side: bool = False) -> str:
-        if isinstance(n, Const):
-            text = _fmt_const(n.value)
-            prec = _PREC["atom"] if not text.startswith("-") else _PREC["neg"]
-        elif isinstance(n, Var):
-            text, prec = "x", _PREC["atom"]
-        elif isinstance(n, Call):
-            text, prec = f"{n.func}({render(n.arg, 0)})", _PREC["atom"]
-        elif isinstance(n, Neg):
-            # grammar: '-' applies to a base, so any non-atom argument
-            # (including a power) must keep its parentheses
-            text, prec = f"-{render(n.arg, _PREC['atom'])}", _PREC["neg"]
-        elif isinstance(n, Pow):
-            # '^' is non-associative: a power base must be parenthesized
-            text = f"{render(n.base, _PREC['^'] + 1)}^{n.exponent}"
-            prec = _PREC["^"]
-        elif isinstance(n, BinOp):
-            prec = _PREC[n.op]
-            left = render(n.left, prec)
-            right = render(n.right, prec, right_side=True)
-            text = f"{left} {n.op} {right}"
-        else:
-            raise TypeError(f"unknown node {n!r}")
-        needs_parens = prec < parent_prec or (
-            right_side and prec == parent_prec
-        )
-        return f"({text})" if needs_parens else text
-
-    return render(node, 0)
 
 
 def _compile_src(node: Node) -> str:
@@ -458,17 +301,15 @@ class Piece:
     hi: float
     node: Node
 
-    @property
-    def source(self) -> str:
-        return to_source(self.node)
-
 
 class PotentialExpr:
     """A potential on ``[0, length]`` given piecewise by expression ASTs.
 
     Pieces must tile the interval in order.  Evaluation at an interior
     breakpoint takes the left piece by default; the one-sided value is
-    available via ``side``.
+    available via ``side``.  Each piece is evaluated at 9 points including
+    its ends when the potential is built; a value that is not finite, or an
+    evaluation that raises, is an :class:`ExprError`.
     """
 
     def __init__(self, pieces: Sequence[Piece], length: float = math.pi):
@@ -488,6 +329,14 @@ class PotentialExpr:
         self.pieces = pieces
         self.length = float(length)
         self._fns = [compile_node(p.node) for p in pieces]
+        for p, fn in zip(pieces, self._fns):
+            try:
+                with np.errstate(all="ignore"):
+                    finite = np.isfinite(fn(np.linspace(p.lo, p.hi, 9))).all()
+            except ArithmeticError as exc:
+                raise ExprError(f"potential on [{p.lo}, {p.hi}] fails to evaluate: {exc}") from None
+            if not finite:
+                raise ExprError(f"potential on [{p.lo}, {p.hi}] is not finite")
 
     # -- constructors -----------------------------------------------------
 
@@ -508,13 +357,6 @@ class PotentialExpr:
             lo, hi = item["interval"]
             pieces.append(Piece(float(lo), float(hi), parse_expr(item["expr"])))
         return cls(pieces, length)
-
-    def to_spec(self):
-        if len(self.pieces) == 1:
-            return self.pieces[0].source
-        return [
-            {"interval": [p.lo, p.hi], "expr": p.source} for p in self.pieces
-        ]
 
     # -- evaluation -------------------------------------------------------
 
@@ -552,17 +394,9 @@ class PotentialExpr:
                 return self._fns[i]
         raise ExprError(f"[{lo}, {hi}] spans a piece boundary")
 
-    # -- calculus ---------------------------------------------------------
-
-    def derivative(self, order: int = 1) -> "PotentialExpr":
-        pieces = self.pieces
-        for _ in range(order):
-            pieces = [Piece(p.lo, p.hi, differentiate(p.node)) for p in pieces]
-        return PotentialExpr(pieces, self.length)
-
     def breakpoints(self) -> list[float]:
         pts = [p.lo for p in self.pieces] + [self.length]
         return pts
 
     def __repr__(self) -> str:
-        return f"PotentialExpr({self.to_spec()!r})"
+        return f"PotentialExpr({self.pieces!r})"

@@ -18,8 +18,9 @@ a distinct variant, not a limiting value of ``H``; it is tagged explicitly
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .expr import PotentialExpr
@@ -69,37 +70,7 @@ class Problem:
     def with_(self, **changes) -> "Problem":
         """Copy with replaced fields (H=None switches to Dirichlet)."""
 
-        data = {
-            "q": self.q,
-            "h": self.h,
-            "H": self.H,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "d": self.d,
-        }
-        data.update(changes)
-        return Problem(**data)
-
-    def robin_variant(self, H: complex = 0.0) -> "Problem":
-        return self.with_(H=H)
+        return dataclasses.replace(self, **changes)
 
     def dirichlet_variant(self) -> "Problem":
         return self.with_(H=DIRICHLET)
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q.to_spec(),
-            "h": _c(self.h),
-            "H": "dirichlet" if self.dirichlet else _c(self.H),
-            "beta": self.beta,
-            "gamma": _c(self.gamma),
-            "d": self.d,
-        }
-
-
-def _c(z: complex):
-    z = complex(z)
-    if z.imag == 0:
-        return z.real
-    return [z.real, z.imag]
-

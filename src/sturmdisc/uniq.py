@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
-from .expr import Piece, PotentialExpr
+from .expr import X, BinOp, Const, Piece, Pow, PotentialExpr
 from .charfn import _f_sample, char_delta, f_bracket_ray
 from .entire import ProductModel, check_counting_bound, CountingBound
 from .ode import BRACKET_TOL, solve_chain
@@ -50,17 +49,15 @@ def modify_below(
 
     if not 0.0 < b <= math.pi:
         raise ValueError("b must lie in (0, pi]")
-    bump = ex.mul(
-        ex.Const(complex(weight)), ex.powi(ex.sub(ex.Var(), ex.Const(b)), m + 1)
-    )
+    bump = BinOp("*", Const(complex(weight)), Pow(BinOp("-", X, Const(b)), m + 1))
     pieces = []
     for p in problem.q.pieces:
         if p.hi <= b + 1e-15:
-            pieces.append(Piece(p.lo, p.hi, ex.add(p.node, bump)))
+            pieces.append(Piece(p.lo, p.hi, BinOp("+", p.node, bump)))
         elif p.lo >= b - 1e-15:
             pieces.append(p)
         else:
-            pieces.append(Piece(p.lo, b, ex.add(p.node, bump)))
+            pieces.append(Piece(p.lo, b, BinOp("+", p.node, bump)))
             pieces.append(Piece(b, p.hi, p.node))
     qb = PotentialExpr(pieces, problem.q.length)
     return problem.with_(q=qb, h=problem.h + dh)

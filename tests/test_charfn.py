@@ -13,10 +13,11 @@ from sturmdisc.charfn import (
     delta_consistency,
     delta_many,
     f_function,
-    weyl_m,
 )
 from sturmdisc.expr import PotentialExpr
+from sturmdisc.norming import check_identity
 from sturmdisc.problem import Problem
+from sturmdisc.spectrum import find_eigenvalues
 
 PI = math.pi
 
@@ -26,7 +27,7 @@ def free(**kw):
 
 
 class TestClosedForms:
-    @pytest.mark.parametrize("lam", [2.3, 17.0, -4.0, 8.0 + 3.0j])
+    @pytest.mark.parametrize("lam", [2.3, 7.3, 17.0, -4.0, 8.0 + 3.0j])
     def test_free_neumann(self, lam):
         # q=0, h=H=0, beta=1: delta = -sqrt(lam) sin(sqrt(lam) pi)
         s = cmath.sqrt(complex(lam))
@@ -34,7 +35,7 @@ class TestClosedForms:
         got = char_delta(free(), complex(lam)).delta.value
         assert got == pytest.approx(want, rel=1e-8, abs=1e-9)
 
-    @pytest.mark.parametrize("lam", [2.3, 17.0, -4.0])
+    @pytest.mark.parametrize("lam", [2.3, 7.3, 17.0, -4.0])
     def test_free_dirichlet(self, lam):
         # delta_inf = -phi(pi) = -cos(sqrt(lam) pi)
         s = cmath.sqrt(complex(lam))
@@ -50,12 +51,6 @@ class TestClosedForms:
         want = s * (-p.b1 * cmath.sin(s * PI) + p.b2 * cmath.sin(s * (2 * p.d - PI)))
         got = char_delta(p, complex(lam)).delta.value
         assert got == pytest.approx(want, rel=1e-8)
-
-    def test_weyl_m_free(self):
-        lam = 7.3
-        s = math.sqrt(lam)
-        want = cmath.cos(s * PI) / (s * cmath.sin(s * PI))
-        assert weyl_m(free(), lam) == pytest.approx(want, rel=1e-8)
 
 
 def _complex(lo, hi):
@@ -85,6 +80,13 @@ class TestConsistency:
     def test_random_problems_agree(self, setup):
         problem, lam = setup
         assert delta_consistency(problem, lam) < 1e-8
+
+    @given(consistency_setups())
+    @settings(max_examples=6, deadline=None)
+    def test_derivative_identity_at_random_roots(self, setup):
+        problem, _ = setup
+        for record in find_eigenvalues(problem, 40):
+            assert max(check_identity(problem, record)) < 1e-6
 
     @pytest.mark.parametrize(
         "kw",
@@ -123,6 +125,49 @@ class TestConsistency:
             assert vals_inf[k] * math.exp(logs[k]) == pytest.approx(
                 s.delta_inf.value, rel=1e-7
             )
+
+
+def free_jump_scaled(lam, h, H, beta, gamma, d):
+    """Exact ``(delta, delta_inf)`` of the ``q = 0`` problem, divided by
+    ``exp(pi Im s)`` with ``s = sqrt(lam)``, ``Im s >= 0``.
+
+    ``cos(s x) = exp(-i s x) (1 + E)/2`` and ``sin(s x) = exp(-i s x) i (1 - E)/2``
+    with ``|E| = |exp(2 i s x)| <= 1``; the ``exp(-i s x)`` factors of the two
+    sides of ``d`` multiply to ``exp(-i s pi)``, whose modulus is the scale.
+    """
+
+    s = cmath.sqrt(lam)
+
+    def cs(x):
+        e = cmath.exp(2j * s * x)
+        return (1 + e) / 2, 1j * (1 - e) / 2
+
+    c, sn = cs(d)
+    y, dy = c + h * sn / s, -s * sn + h * c
+    a, b = beta * y, dy / beta + gamma * y
+    c, sn = cs(PI - d)
+    phi, dphi = a * c + b * sn / s, -a * s * sn + b * c
+    phase = cmath.exp(-1j * s.real * PI)
+    return phase * (dphi + H * phi), phase * -phi
+
+
+class TestFarRayAccuracy:
+    """``char_delta`` against the exact free-jump ``delta`` and ``delta_inf``:
+    the relative error stays below ``5e-11 sqrt|lam|`` out to ``|lam| = 1e6``
+    (the default ``tol``; the README's "Accuracy" section quotes this)."""
+
+    DATA = dict(h=0.3, H=0.1, beta=1.5, gamma=0.2j, d=PI / 2)
+
+    @pytest.mark.parametrize("lam", [1j * 10.0**k for k in range(2, 7)] + [1e6 + 1e3j])
+    def test_relative_error_grows_like_sqrt_lam(self, lam):
+        p = free(**self.DATA)
+        sample = char_delta(p, lam)
+        growth = PI * cmath.sqrt(lam).imag
+        for got, want in zip(
+            (sample.delta, sample.delta_inf), free_jump_scaled(lam, **self.DATA)
+        ):
+            err = abs(got.val * math.exp(got.log - growth) - want) / abs(want)
+            assert err < 5e-11 * math.sqrt(abs(lam))
 
 
 class TestRayAsymptotics:

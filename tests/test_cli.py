@@ -234,6 +234,14 @@ class TestValidationErrors:
         assert main([command, "--config", cfg]) == 1
         assert path in capsys.readouterr().err
 
+    def test_non_finite_potential(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {"problems": {"p": {"q": "1/0"}}, "charfn": {"problem": "p", "lambdas": [1]}},
+        )
+        assert main(["charfn", "--config", cfg]) == 1
+        assert "$.problems.p.q" in capsys.readouterr().err
+
     def test_unknown_section_field(self, tmp_path, capsys, monkeypatch):
         def no_search(*args, **kw):
             raise AssertionError("the search ran before the config was checked")

@@ -1,6 +1,5 @@
 """Tests for the potential-expression language."""
 
-import cmath
 import math
 
 import numpy as np
@@ -13,9 +12,7 @@ from sturmdisc.expr import (
     PotentialExpr,
     as_polynomial,
     compile_node,
-    differentiate,
     parse_expr,
-    to_source,
 )
 
 
@@ -69,7 +66,7 @@ class TestParsing:
             parse_expr("tan(x)")
 
 
-# strategy for random ASTs built through the public constructors
+# strategy for random expression sources
 _leaves = st.one_of(
     st.just("x"),
     st.floats(-5, 5, allow_nan=False).map(lambda v: "%.3f" % v),
@@ -81,7 +78,7 @@ _leaves = st.one_of(
 def expressions(draw, depth=0):
     if depth >= 3 or draw(st.booleans()):
         return draw(_leaves)
-    op = draw(st.sampled_from(["+", "-", "*", "func", "pow", "neg"]))
+    op = draw(st.sampled_from(["+", "-", "*", "/", "func", "pow", "neg"]))
     a = draw(expressions(depth=depth + 1))
     if op == "func":
         f = draw(st.sampled_from(["sin", "cos", "exp", "sinh", "cosh"]))
@@ -95,43 +92,33 @@ def expressions(draw, depth=0):
     return f"({a}) {op} ({b})"
 
 
-class TestRoundTrip:
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "src", ["1/0", "1e400", "10^400", "(1e300 * 1)^2", "exp(1000 * x)", "1/x"]
+    )
+    def test_rejected_at_construction(self, src):
+        with pytest.raises(ExprError):
+            PotentialExpr.parse(src)
+
+    def test_piece_is_checked_on_its_own_interval(self):
+        # 1/(x - 2) is finite on [0, 1] but reaches x = 2 on the second piece
+        spec = [
+            {"interval": [0.0, 1.0], "expr": "1/(x - 2)"},
+            {"interval": [1.0, math.pi], "expr": "0"},
+        ]
+        PotentialExpr.from_spec(spec)
+        spec[1]["expr"] = "1/(x - 1)"
+        with pytest.raises(ExprError):
+            PotentialExpr.from_spec(spec)
+
     @given(expressions())
     @settings(max_examples=120, deadline=None)
-    def test_print_parse_print_fixed_point(self, src):
-        node = parse_expr(src)
-        printed = to_source(node)
-        reparsed = parse_expr(printed)
-        assert to_source(reparsed) == printed
-
-    @given(expressions(), st.floats(0.1, 3.0, allow_nan=False))
-    @settings(max_examples=120, deadline=None)
-    def test_round_trip_preserves_value(self, src, x):
-        node = parse_expr(src)
-        before = eval_at(node, x)
-        after = eval_at(parse_expr(to_source(node)), x)
-        if cmath.isfinite(before):
-            assert after == pytest.approx(before, rel=1e-12, abs=1e-12)
-
-
-class TestDifferentiation:
-    @given(st.floats(0.2, 2.8, allow_nan=False))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_central_difference(self, x):
-        node = parse_expr("sin(2 * x) * exp(x) + x^3")
-        dnode = differentiate(node)
-        h = 1e-6
-        fd = (eval_at(node, x + h) - eval_at(node, x - h)) / (2 * h)
-        assert eval_at(dnode, x) == pytest.approx(fd, rel=1e-8, abs=1e-8)
-
-    def test_chain_rule_on_nested_call(self):
-        node = parse_expr("cos(x^2)")
-        dnode = differentiate(node)
-        x = 0.9
-        assert eval_at(dnode, x) == pytest.approx(-2 * x * math.sin(x * x), rel=1e-13)
-
-    def test_constant_derivative_is_zero(self):
-        assert eval_at(differentiate(parse_expr("7")), 1.3) == 0
+    def test_parse_gives_finite_values_or_expr_error(self, src):
+        try:
+            q = PotentialExpr.parse(src)
+        except ExprError:
+            return
+        assert np.isfinite(q(np.linspace(0.0, math.pi, 9))).all()
 
 
 class TestPolynomialPath:
@@ -170,18 +157,3 @@ class TestPotentialExpr:
                     {"interval": [2.0, math.pi], "expr": "1"},
                 ]
             )
-
-    def test_spec_round_trip(self):
-        spec = [
-            {"interval": [0.0, 1.5], "expr": "sin(x)"},
-            {"interval": [1.5, math.pi], "expr": "x^2"},
-        ]
-        q = PotentialExpr.from_spec(spec)
-        again = PotentialExpr.from_spec(q.to_spec())
-        for x in (0.3, 1.2, 2.0, 3.0):
-            assert again(x) == pytest.approx(q(x), rel=1e-15)
-
-    def test_derivative_piecewise(self):
-        q = PotentialExpr.parse("x^2")
-        dq = q.derivative()
-        assert dq(1.3) == pytest.approx(2.6, rel=1e-14)

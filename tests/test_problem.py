@@ -44,8 +44,16 @@ class TestJumpCoefficients:
 
 class TestSerialization:
     def test_round_trip(self):
+        spec = {
+            "q": "sin(x)",
+            "h": [0.3, 0.1],
+            "H": 0.2,
+            "beta": 2.0,
+            "gamma": [0.0, 0.5],
+            "d": 1.1,
+        }
         p = make("sin(x)", h=0.3 + 0.1j, H=0.2, beta=2.0, gamma=0.5j, d=1.1)
-        again = problem_from_config(p.to_dict(), "$")
+        again = problem_from_config(spec, "$")
         assert again.h == p.h
         assert again.H == p.H
         assert again.beta == p.beta
@@ -54,10 +62,17 @@ class TestSerialization:
         assert again.q(0.7) == pytest.approx(p.q(0.7), rel=1e-15)
 
     def test_dirichlet_round_trip(self):
-        p = make(H=None)
-        assert problem_from_config(p.to_dict(), "$").dirichlet
+        spec = {
+            "q": "0",
+            "h": 0.0,
+            "H": "dirichlet",
+            "beta": 1.0,
+            "gamma": 0.0,
+            "d": math.pi / 2,
+        }
+        assert problem_from_config(spec, "$").dirichlet
 
     def test_variants(self):
         p = make(H=0.25)
         assert p.dirichlet_variant().dirichlet
-        assert p.dirichlet_variant().robin_variant(0.25).H == 0.25
+        assert p.dirichlet_variant().with_(H=0.25).H == 0.25
