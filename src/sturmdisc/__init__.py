@@ -5,7 +5,7 @@ ray-asymptotic probes of the uniqueness machinery."""
 
 from .expr import ExprError, PotentialExpr, parse_expr
 from .problem import Problem
-from .ode import ScaledVal, fundamental_pair, pair_integrals, solve_chain
+from .ode import ScaledVal, pair_integrals, solve_chain
 from .charfn import char_delta, delta_many, f_function
 from .spectrum import (
     EigenRecord,
@@ -33,7 +33,6 @@ __all__ = [
     "parse_expr",
     "Problem",
     "ScaledVal",
-    "fundamental_pair",
     "pair_integrals",
     "solve_chain",
     "char_delta",

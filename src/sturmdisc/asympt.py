@@ -393,13 +393,13 @@ def decay_order_fit(
     floors = np.empty(ys.size)
     for k, y in enumerate(ys):
         lam = 1j * y
-        res = pair_integrals(
+        (integral,) = pair_integrals(
             prob_a, prob_b, lam, r, x0, init, init, [(combo[0] - 1, combo[1] - 1)],
             tol=BRACKET_TOL,
         )
         mu = growth_rate(lam)
         winit = _COMBO_INIT[combo]
-        scaled = res.integrals[0].val + winit * math.exp(
+        scaled = integral.val + winit * math.exp(
             -2.0 * mu * (x0 - r) if mu * (x0 - r) < 350 else -math.inf
         )
         s_abs = math.sqrt(abs(lam))

@@ -29,15 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import (
-    BRACKET_TOL,
-    TOL,
-    ChainSolution,
-    ScaledVal,
-    pair_integrals,
-    solve_chain,
-    solve_many,
-)
+from .ode import BRACKET_TOL, TOL, ScaledVal, pair_integrals, solve_chain, solve_many
 from .problem import Problem
 
 
@@ -140,13 +132,6 @@ class FSample:
     at: object
 
 
-def _bracket(sol_a: ChainSolution, sol_b: ChainSolution, x: float, side: str = "auto") -> ScaledVal:
-    za = sol_a.state(x, side)
-    zb = sol_b.state(x, side)
-    w = za[0, 0] * zb[0, 1] - za[0, 1] * zb[0, 0]
-    return ScaledVal(complex(w), sol_a.logscale(x) + sol_b.logscale(x))
-
-
 def f_function(prob_a: Problem, prob_b: Problem, lam: complex, at="pi") -> FSample:
     """The bracket functional ``F`` and the endpoint differences F1, F2.
 
@@ -158,37 +143,46 @@ def f_function(prob_a: Problem, prob_b: Problem, lam: complex, at="pi") -> FSamp
     ``b < d``.  The chains are solved at ``BRACKET_TOL``.
     """
 
-    sol_a = solve_chain(prob_a, lam, tol=BRACKET_TOL)
-    sol_b = solve_chain(prob_b, lam, tol=BRACKET_TOL)
-    return _f_sample(sol_a, sol_b, prob_a.d, lam, at)
+    reads = _f_reads(prob_a, prob_b, lam, None if at == "pi" else float(at))
+    return _f_sample(reads, prob_a.d, lam, at)
 
 
-def _f_sample(sol_a: ChainSolution, sol_b: ChainSolution, d: float, lam: complex, at) -> FSample:
-    """The forms of :func:`f_function` from the two left-side chains."""
+def _f_reads(prob_a: Problem, prob_b: Problem, lam: complex, b: float | None) -> dict:
+    """The left chains of both problems, walked to ``pi`` at ``BRACKET_TOL``
+    and read at ``d-0``, ``d+0``, ``pi`` and (unless ``None``) ``b``:
+    ``{name: (za, zb, log)}`` with the ``(y, y')`` states and their common
+    log scale."""
 
+    pts = {"d-": prob_a.d, "d+": prob_a.d, "pi": math.pi}
+    if b is not None:
+        pts["b"] = b
+    names = sorted(pts, key=pts.get)  # stable: d-0 is read before d+0
+    xs = [pts[k] for k in names]
+    za, logs = solve_chain(prob_a, lam, xs, tol=BRACKET_TOL)
+    zb, _ = solve_chain(prob_b, lam, xs, tol=BRACKET_TOL)
+    return {k: (za[i, 0], zb[i, 0], float(logs[i])) for i, k in enumerate(names)}
+
+
+def _f_sample(reads: dict, d: float, lam: complex, at) -> FSample:
+    """The forms of :func:`f_function` from the reads of :func:`_f_reads`."""
+
+    def bracket(name):
+        za, zb, log = reads[name]
+        return ScaledVal(complex(za[0] * zb[1] - za[1] * zb[0]), log + log)
+
+    where = "pi" if at == "pi" else "b"
     if at == "pi":
-        F = _bracket(sol_a, sol_b, math.pi, side="-")
-        b_eval = math.pi
+        F = bracket("pi")
+    elif float(at) > d + 1e-12:
+        F = bracket("b")
+    elif abs(float(at) - d) <= 1e-12:
+        F = bracket("d+")
+        where = "d-"
     else:
-        b = float(at)
-        if b > d + 1e-12:
-            F = _bracket(sol_a, sol_b, b)
-            b_eval = b
-        elif abs(b - d) <= 1e-12:
-            F = _bracket(sol_a, sol_b, d, side="+")
-            b_eval = d
-        else:
-            F = _bracket(sol_a, sol_b, b)
-            jump = _bracket(sol_a, sol_b, d, side="+") - _bracket(
-                sol_a, sol_b, d, side="-"
-            )
-            F = F + jump
-            b_eval = b
-    za = sol_a.state(b_eval, side="-" if b_eval == math.pi else "auto")
-    zb = sol_b.state(b_eval, side="-" if b_eval == math.pi else "auto")
-    log = sol_a.logscale(b_eval)
-    F1 = ScaledVal(complex(za[0, 0] - zb[0, 0]), log)
-    F2 = ScaledVal(complex(za[0, 1] - zb[0, 1]), log)
+        F = bracket("b") + (bracket("d+") - bracket("d-"))
+    za, zb, log = reads[where]
+    F1 = ScaledVal(complex(za[0] - zb[0]), log)
+    F2 = ScaledVal(complex(za[1] - zb[1]), log)
     return FSample(lam=lam, F=F, F1=F1, F2=F2, at=at)
 
 
@@ -205,9 +199,9 @@ def f_bracket_ray(prob_a: Problem, prob_b: Problem, b: float, lam: complex) -> S
 
     init_a = np.array([[1.0, prob_a.h]], dtype=complex)
     init_b = np.array([[1.0, prob_b.h]], dtype=complex)
-    res = pair_integrals(
+    (integral,) = pair_integrals(
         prob_a, prob_b, lam, 0.0, b, init_a, init_b, [(0, 0)], tol=BRACKET_TOL
     )
     base = ScaledVal(prob_b.h - prob_a.h, 0.0)  # bracket at x=0
-    return res.integrals[0] + base
+    return integral + base
 

@@ -290,6 +290,56 @@ def as_polynomial(node: Node):
     return None
 
 
+def _degree_bound(node: Node) -> float:
+    """An upper bound of the degree of ``node`` and of every polynomial
+    :func:`as_polynomial` forms on the way; ``inf`` for a function call."""
+
+    if isinstance(node, Const):
+        return 0
+    if isinstance(node, Var):
+        return 1
+    if isinstance(node, Neg):
+        return _degree_bound(node.arg)
+    if isinstance(node, Pow):
+        return _degree_bound(node.base) * node.exponent
+    if isinstance(node, BinOp):
+        left, right = _degree_bound(node.left), _degree_bound(node.right)
+        return max(left, right) if node.op in "+-" else left + right
+    return math.inf
+
+
+def _real_pole(node: Node, lo: float, hi: float) -> float | None:
+    """A real root in ``[lo, hi]`` of a polynomial divisor inside ``node``,
+    or ``None``.  A root counts as real when the divisor vanishes to
+    rounding at its real part; this also catches the multiple roots that
+    root finding splits off the axis, and flags complex roots so close to
+    it that the divisor is zero to rounding there too."""
+
+    if isinstance(node, BinOp):
+        # the bound keeps a divisor like (x^2 + 1)^100000 from being expanded
+        if node.op == "/" and _degree_bound(node.right) <= 64:
+            div = as_polynomial(node.right)
+            if div is not None and div.degree() > 0:
+                for root in div.roots():
+                    x = float(np.real(root))
+                    # 64 ulps of the rounding bound of evaluating div at x
+                    tiny = 1e-14 * np.polynomial.polynomial.polyval(abs(x), np.abs(div.coef))
+                    if lo - 1e-12 <= x <= hi + 1e-12 and abs(div(x)) <= tiny:
+                        return x
+        children = (node.left, node.right)
+    elif isinstance(node, (Neg, Call)):
+        children = (node.arg,)
+    elif isinstance(node, Pow):
+        children = (node.base,)
+    else:
+        return None
+    for child in children:
+        pole = _real_pole(child, lo, hi)
+        if pole is not None:
+            return pole
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Piecewise potential
 # ---------------------------------------------------------------------------
@@ -309,7 +359,10 @@ class PotentialExpr:
     breakpoint takes the left piece by default; the one-sided value is
     available via ``side``.  Each piece is evaluated at 9 points including
     its ends when the potential is built; a value that is not finite, or an
-    evaluation that raises, is an :class:`ExprError`.
+    evaluation that raises, is an :class:`ExprError`.  A divisor that is a
+    polynomial (:func:`as_polynomial`) with a real root on the piece is an
+    :class:`ExprError` as well; any other divisor is checked only at those
+    9 points, so a pole between them passes.
     """
 
     def __init__(self, pieces: Sequence[Piece], length: float = math.pi):
@@ -337,6 +390,9 @@ class PotentialExpr:
                 raise ExprError(f"potential on [{p.lo}, {p.hi}] fails to evaluate: {exc}") from None
             if not finite:
                 raise ExprError(f"potential on [{p.lo}, {p.hi}] is not finite")
+            pole = _real_pole(p.node, p.lo, p.hi)
+            if pole is not None:
+                raise ExprError(f"potential on [{p.lo}, {p.hi}] has a pole at or near x = {pole:.6g}")
 
     # -- constructors -----------------------------------------------------
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import char_delta
-from .ode import ChainSolution, solve_chain, solve_many
+from .ode import _ordered_breaks, solve_chain, solve_many
 from .problem import Problem
 from .spectrum import EigenRecord
 
@@ -41,25 +41,28 @@ class NormingRecord:
     alphas: list  # alpha_0 .. alpha_{m-1}
 
 
-def _chain_product_integral(sol: ChainSolution, nu_a: int, nu_b: int) -> complex:
-    """``integral (chain_a * chain_b) dx`` over the solved range, including
-    the exponential scale stripped off by the integrator."""
+def _alphas(problem: Problem, lam: complex, m: int) -> list:
+    """``alpha_nu = integral_0^pi psi_nu psi_{m-1} dx`` for ``nu = 0..m-1``:
+    12-point Gauss-Legendre on panels of length about ``1/sqrt|lam|``
+    inside each segment of the ``psi`` walk, with the states read at the
+    nodes and the exponential scale stripped off by the integrator put
+    back."""
 
-    lam = sol.lam
     rate = abs(cmath.sqrt(lam))
-    total = 0.0 + 0.0j
-    for seg in sol.segments:
-        lo, hi = min(seg.a, seg.b), max(seg.a, seg.b)
+    xs, ws = [], []
+    path = _ordered_breaks(0.0, math.pi, [problem.d] + problem.q.breakpoints())
+    for lo, hi in zip(path, path[1:]):
         n_panels = max(6, int(1.0 * rate * (hi - lo)) + 1)
         edges = np.linspace(lo, hi, n_panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            xs = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-            vals = seg.sol(xs)  # (dim, npts)
-            vals = vals.reshape(sol.nu_max + 1, 2, xs.size)
-            weight = np.exp(2.0 * sol.mu * np.abs(xs - sol.x_from))
-            f = vals[nu_a, 0] * vals[nu_b, 0] * weight
-            total += 0.5 * (b - a) * np.dot(_GL_WEIGHTS, f)
-    return complex(total)
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        xs.append((half * _GL_NODES + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel())
+        ws.append((half * _GL_WEIGHTS).ravel())
+    # psi walks from pi to 0, so the nodes are read in descending order
+    x, w = np.concatenate(xs)[::-1], np.concatenate(ws)[::-1]
+    states, logs = solve_chain(problem, lam, np.append(x, 0.0), nu_max=m - 1, side="right")
+    psi = states[:-1, :, 0]
+    f = psi * psi[:, m - 1 : m] * np.exp(2.0 * logs[:-1])[:, None]
+    return [complex(v) for v in w @ f]
 
 
 def compute_norming(problem: Problem, record: EigenRecord) -> NormingRecord:
@@ -71,10 +74,7 @@ def compute_norming(problem: Problem, record: EigenRecord) -> NormingRecord:
     scale = math.exp(logs[0])
     comp = 1 if problem.dirichlet else 0
     kappas = [complex(states[0, nu, comp]) * scale for nu in range(m)]
-    psi = solve_chain(problem, lam, nu_max=m - 1, side="right")
-    alphas = [
-        _chain_product_integral(psi, nu, m - 1) for nu in range(m)
-    ]
+    alphas = _alphas(problem, lam, m)
     return NormingRecord(lam=lam, multiplicity=m, kappas=kappas, alphas=alphas)
 
 

@@ -21,13 +21,13 @@ At the discontinuity ``x = d`` the state is pushed through the matching
 conditions (or their inverse when integrating right-to-left).
 
 One private segment walker (``_walk``) advances a batch of lambda through
-the pieces of ``q`` and the jump at ``d``.  :func:`solve_many` runs it on
-a batch and returns end states only; :func:`solve_chain` runs it on one
-lambda and also keeps the per-segment DOP853 dense output, which costs three
-extra RHS stages per step and is built only for callers that read interior
-states (the fundamental pair, the bracket ``F`` at interior points, the
-norming integrals).  Everything that reads only ``x = pi`` or ``x = 0``
-goes through :func:`solve_many`.
+the pieces of ``q`` and the jump at ``d`` and returns the states at the
+points it is asked for.  :func:`solve_many` runs it on a batch and reads
+the far end only; :func:`solve_chain` runs it on one lambda and reads a
+list of points (the Wronskian's grid, ``b``, ``d-0``, ``d+0`` and ``pi``
+for the bracket ``F``, the quadrature nodes of the norming integrals).  A
+point inside a segment costs that segment a DOP853 interpolant, three extra
+RHS stages per step; a point at a segment end costs nothing.
 
 Bilinear integrals of pairs of solutions from two different problems are
 accumulated inside their own solve (:func:`pair_integrals`); this matters
@@ -166,7 +166,7 @@ def jump_backward(state, beta: float, gamma: complex):
 
 
 # ---------------------------------------------------------------------------
-# Chain solves: one segment walker for single and batched lambda
+# Chain solves: one segment walker, read at requested points
 # ---------------------------------------------------------------------------
 
 
@@ -177,71 +177,6 @@ def _ordered_breaks(x_from: float, x_to: float, pts: Sequence[float]) -> list[fl
     if x_from > x_to:
         path.reverse()
     return path
-
-
-@dataclass
-class _Segment:
-    a: float
-    b: float
-    sol: object  # OdeSolution over [min(a,b), max(a,b)] in x
-    end: np.ndarray  # the integrated state at b, before any jump
-
-
-class ChainSolution:
-    """Dense solution of a chain solve between ``x_from`` and ``x_to``."""
-
-    def __init__(self, problem, lam, nu_max, x_from, x_to, segments, mu):
-        self.problem = problem
-        self.lam = lam
-        self.nu_max = nu_max
-        self.x_from = x_from
-        self.x_to = x_to
-        self.segments = segments
-        self.mu = mu
-
-    def logscale(self, x: float) -> float:
-        return self.mu * abs(x - self.x_from)
-
-    def state(self, x: float, side: str = "auto") -> np.ndarray:
-        """Scaled chain state at ``x``: shape ``(nu_max+1, 2)`` = (y, y').
-
-        At the discontinuity, ``side='-'`` / ``'+'`` select the one-sided
-        limits; ``'auto'`` takes whichever segment comes first along the
-        integration direction.  At the far end of a segment the integrated
-        state itself is returned, not its interpolant.
-        """
-
-        if side not in ("auto", "-", "+"):
-            raise ValueError(f"side must be 'auto', '-' or '+', got {side!r}")
-        cands = [
-            seg
-            for seg in self.segments
-            if min(seg.a, seg.b) - 1e-12 <= x <= max(seg.a, seg.b) + 1e-12
-        ]
-        if not cands:
-            raise ValueError(f"x={x} outside solved range")
-        seg = cands[0]
-        if side == "-":
-            for s in cands:
-                if abs(max(s.a, s.b) - x) <= 1e-12:
-                    seg = s
-                    break
-        elif side == "+":
-            for s in cands:
-                if abs(min(s.a, s.b) - x) <= 1e-12:
-                    seg = s
-                    break
-        if abs(x - seg.b) <= 1e-12:
-            return seg.end.copy()
-        return seg.sol(x).reshape(self.nu_max + 1, 2)
-
-    def value(self, x: float, nu: int = 0, deriv: int = 0, side: str = "auto") -> ScaledVal:
-        z = self.state(x, side)
-        return ScaledVal(complex(z[nu, deriv]), self.logscale(x))
-
-    @property
-    def end_logscale(self) -> float:
-        return self.logscale(self.x_to)
 
 
 def _start(problem: Problem, side: str, n: int, nu_max: int):
@@ -275,25 +210,40 @@ def _integrate(rhs, lo: float, hi: float, y0, tol: float, dense: bool = False):
     return sol
 
 
-def _walk(problem: Problem, lams, z, a: float, b: float, *, tol, dense=False):
+def _walk(problem: Problem, lams, z, a: float, at, *, tol):
     """Advance the chain states ``z`` (shape ``(n, nu_max+1, 2)``, one row
-    per lambda of ``lams``) from ``a`` to ``b``, segment by segment between
-    the breakpoints of ``q`` and ``d``, through the matching at ``d``.
+    per lambda of ``lams``) from ``a`` to the last point of ``at``, segment
+    by segment between the breakpoints of ``q`` and ``d``, through the
+    matching at ``d``, and read the states at the points ``at``.
 
-    Returns ``(z_end, logs, segments)``: the scaled end states, the
-    per-lambda log scales ``mu |b - a|`` and, only with ``dense=True``, the
-    per-segment dense solutions (``None`` otherwise).
+    ``at`` is ordered along the walk.  A point inside a segment is read from
+    that segment's DOP853 interpolant, which is built only for segments that
+    hold such a point; a point at a segment end gets the integrated state.
+    ``d`` listed once reads the state before the matching; listed twice, the
+    second entry reads the state after it.
+
+    Returns ``(states, logs)``: the scaled states, shape
+    ``(len(at), n, nu_max+1, 2)``, and their log scales ``mu |x - a|``,
+    shape ``(len(at), n)``.
     """
 
     lams = np.asarray(lams, dtype=complex)
+    at = np.asarray(at, dtype=float).ravel()
+    b = float(at[-1])
+    direction = 1.0 if b >= a else -1.0
+    if np.any(np.diff(np.append(a, at)) * direction < -1e-12):
+        raise ValueError("points must be ordered along the walk from its start")
     nu_max = z.shape[1] - 1
     mus = np.array([growth_rate(lam) for lam in lams])
-    direction = 1.0 if b >= a else -1.0
     mu_signed = (direction * mus)[:, None]
     lam_col = lams[:, None]
     qx = problem.q
+    states = np.empty((at.size,) + z.shape, dtype=complex)
+    i = 0
+    while i < at.size and abs(at[i] - a) <= 1e-12:
+        states[i] = z
+        i += 1
     path = _ordered_breaks(a, b, [problem.d] + qx.breakpoints())
-    segments = [] if dense else None
     for lo, hi in zip(path, path[1:]):
         qfn = qx.piece_fn(min(lo, hi), max(lo, hi))
 
@@ -306,45 +256,60 @@ def _walk(problem: Problem, lams, z, a: float, b: float, *, tol, dense=False):
                 out[:, 1:, 1] -= zz[:, :-1, 0]
             return out.ravel()
 
-        sol = _integrate(rhs, lo, hi, z.ravel(), tol, dense)
+        j = i  # at[i:j] lie inside this segment
+        while j < at.size and (hi - at[j]) * direction > 1e-12:
+            j += 1
+        sol = _integrate(rhs, lo, hi, z.ravel(), tol, dense=j > i)
+        if j > i:
+            states[i:j] = sol.sol(at[i:j]).T.reshape((j - i,) + z.shape)
         z = sol.y[:, -1].reshape(z.shape).copy()
-        if dense:
-            segments.append(_Segment(lo, hi, sol.sol, z[0]))
-        if abs(hi - problem.d) < 1e-12 and abs(hi - b) > 1e-12:
+        i = j
+        if i < at.size and abs(at[i] - hi) <= 1e-12:
+            states[i] = z
+            i += 1
+        if abs(hi - problem.d) < 1e-12:
             if direction > 0:
                 z = jump_forward(z, problem.beta, problem.gamma)
             else:
                 z = jump_backward(z, problem.beta, problem.gamma)
-    return z, mus * abs(b - a), segments
+        while i < at.size and abs(at[i] - hi) <= 1e-12:
+            states[i] = z
+            i += 1
+    return states, np.abs(at - a)[:, None] * mus
 
 
 def solve_chain(
     problem: Problem,
     lam: complex,
+    at,
     *,
     nu_max: int = 0,
     side: str = "left",
     x_from: float | None = None,
-    x_to: float | None = None,
     init: np.ndarray | None = None,
     tol: float = TOL,
-) -> ChainSolution:
-    """Integrate the chain across ``[0, pi]`` (or a sub-interval), with
-    dense output for reading interior states.
+):
+    """Chain states of one lambda at the points ``at``, ordered along the
+    walk from its start to its end, the last point.
 
     ``side='left'`` starts at 0 from the Robin data ``(1, h)``;
     ``side='right'`` starts at pi from ``(1, -H)`` (Robin) or ``(0, 1)``
-    (Dirichlet).  ``x_from``/``x_to`` replace the ends and an explicit
-    ``init`` (shape ``(nu_max+1, 2)``) replaces the start data.
+    (Dirichlet).  ``x_from`` replaces the start and an explicit ``init``
+    (shape ``(nu_max+1, 2)``) replaces the start data.  Points are read as
+    :func:`_walk` describes: ``d`` listed twice gives the states before and
+    after the matching.
+
+    Returns ``(states, logs)``: the scaled states, shape
+    ``(len(at), nu_max+1, 2)`` with ``(y, y')`` per member, and their log
+    scales ``mu |x - x_from|``.
     """
 
-    z, a, b = _start(problem, side, 1, nu_max)
+    z, a, _ = _start(problem, side, 1, nu_max)
     a = a if x_from is None else x_from
-    b = b if x_to is None else x_to
     if init is not None:
         z = np.asarray(init, dtype=complex).reshape(z.shape).copy()
-    _, _, segments = _walk(problem, [lam], z, a, b, tol=tol, dense=True)
-    return ChainSolution(problem, lam, nu_max, a, b, segments, growth_rate(lam))
+    states, logs = _walk(problem, [lam], z, a, at, tol=tol)
+    return states[:, 0], logs[:, 0]
 
 
 def solve_many(
@@ -361,36 +326,13 @@ def solve_many(
     ``(n, nu_max+1, 2)`` with ``(y, y')`` per member, and the per-lambda
     log scales.  The batch shares one step sequence and scipy's error norm
     is the RMS over all components, so a caller that needs each lambda
-    within the single-solve error budget divides ``tol`` by ``sqrt(n)``.  No dense output is built.
+    within the single-solve error budget divides ``tol`` by ``sqrt(n)``.  No interpolant is built.
     """
 
     lams = np.asarray(lams, dtype=complex).ravel()
     z, a, b = _start(problem, side, lams.size, nu_max)
-    states, logs, _ = _walk(problem, lams, z, a, b, tol=tol)
-    return states, logs
-
-
-# ---------------------------------------------------------------------------
-# Fundamental pair on a sub-interval
-# ---------------------------------------------------------------------------
-
-
-def fundamental_pair(
-    problem: Problem,
-    lam: complex,
-    r: float,
-    x0: float,
-    *,
-    tol: float = TOL,
-) -> tuple[ChainSolution, ChainSolution]:
-    """Solutions ``y1, y2`` on ``[r, x0]`` with ``y1(r)=1, y1'(r)=0`` and
-    ``y2(r)=0, y2'(r)=1`` (matching at ``d`` applied if it lies inside)."""
-
-    y1, y2 = (
-        solve_chain(problem, lam, x_from=r, x_to=x0, init=init, tol=tol)
-        for init in ((1.0, 0.0), (0.0, 1.0))
-    )
-    return y1, y2
+    states, logs = _walk(problem, lams, z, a, [b], tol=tol)
+    return states[0], logs[0]
 
 
 def wronskian_check(
@@ -404,35 +346,30 @@ def wronskian_check(
 ) -> float:
     """Max deviation of ``y1 y2' - y1' y2`` from 1 over a sample grid.
 
-    The bracket of the fundamental pair is exactly 1 at ``r`` and is
+    ``y1, y2`` is the fundamental pair on ``[r, x0]``: ``y1(r)=1,
+    y1'(r)=0`` and ``y2(r)=0, y2'(r)=1``, with the matching at ``d``
+    applied if it lies inside.  Its bracket is exactly 1 at ``r`` and is
     conserved by both the equation and the matching conditions, so this is
     an end-to-end consistency check of the integrator.  Being a bracket, it
     runs at ``BRACKET_TOL`` by default: the deviation grows like ``tol``
     times ``exp(2 |Im sqrt(lam)| (x0 - r))``.
     """
 
-    y1, y2 = fundamental_pair(problem, lam, r, x0, tol=tol)
+    xs = np.linspace(r, x0, n_samples)
+    (s1, logs), (s2, _) = (
+        solve_chain(problem, lam, xs, x_from=r, init=init, tol=tol)
+        for init in ((1.0, 0.0), (0.0, 1.0))
+    )
     worst = 0.0
-    for x in np.linspace(r, x0, n_samples):
-        s1 = y1.state(float(x))
-        s2 = y2.state(float(x))
-        w = s1[0, 0] * s2[0, 1] - s1[0, 1] * s2[0, 0]
-        w_actual = w * math.exp(2 * y1.logscale(float(x)))
-        worst = max(worst, abs(w_actual - 1.0))
-    return worst
+    for z1, z2, log in zip(s1[:, 0], s2[:, 0], logs):
+        w = z1[0] * z2[1] - z1[1] * z2[0]
+        worst = max(worst, abs(w * math.exp(2 * log) - 1.0))
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
 # Paired solves with accumulated bilinear integrals
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PairResult:
-    states_a: np.ndarray  # (n_a, 2) scaled end states
-    states_b: np.ndarray
-    end_logscale: float  # log scale of each solution at x_to
-    integrals: list[ScaledVal]  # accumulated bracket integrals
 
 
 def pair_integrals(
@@ -446,17 +383,17 @@ def pair_integrals(
     pairs: Sequence[tuple[int, int]],
     *,
     tol: float = TOL,
-) -> PairResult:
+) -> list[ScaledVal]:
     """Advance solutions of two problems together, accumulating for each
     requested column pair ``(i, j)`` the bracket increment
 
         W_ij(x_to) - W_ij(x_from),   W_ij = yA_i yB_j' - yA_i' yB_j,
 
     which satisfies ``W' = (qB - qA) yA yB`` away from ``d`` plus the jump
-    contribution at ``d``.  The accumulators are returned with scale
-    ``exp(2 mu (x_to - x_from))`` factored out, i.e. already normalized the
-    way ray-decay diagnostics need them.  Requires ``d`` to coincide
-    (forward direction only)."""
+    contribution at ``d``.  Returns one :class:`ScaledVal` per pair, with
+    the scale ``exp(2 mu (x_to - x_from))`` factored out, i.e. already
+    normalized the way ray-decay diagnostics need them.  Requires ``d`` to
+    coincide (forward direction only)."""
 
     if abs(prob_a.d - prob_b.d) > 1e-12:
         raise ValueError("paired problems must share the discontinuity point")
@@ -516,5 +453,4 @@ def pair_integrals(
             weight = math.exp(-2.0 * mu * (x_to - d)) if mu * (x_to - d) < 350 else 0.0
             acc = acc + (after - before) * weight
     log_end = 2.0 * mu * (x_to - x_from)
-    integrals = [ScaledVal(complex(v), log_end) for v in acc]
-    return PairResult(za, zb, mu * (x_to - x_from), integrals)
+    return [ScaledVal(complex(v), log_end) for v in acc]

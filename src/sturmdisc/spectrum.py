@@ -10,7 +10,7 @@ the phase (every step below pi/2).  A search runs in three phases:
 2. Newton rounds polish one start point of every unresolved leaf together:
    each round integrates the chain ``(phi, d phi/d lam)`` for all of them
    in one vectorized solve per tolerance level, so the derivative is exact
-   and no dense output is built.  Each lambda stops on its own rules.
+   and no interpolant is built.  Each lambda stops on its own rules.
 3. A root is accepted when it lies in its leaf and is new; in a leaf that
    holds more than one zero a small-circle winding count gives its
    algebraic multiplicity, and multiple roots get a second, step-scaled

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import X, BinOp, Const, Piece, Pow, PotentialExpr
-from .charfn import _f_sample, char_delta, f_bracket_ray
+from .charfn import _f_reads, _f_sample, char_delta, f_bracket_ray
 from .entire import ProductModel, check_counting_bound, CountingBound
-from .ode import BRACKET_TOL, solve_chain
 from .problem import Problem
 from .spectrum import ZeroSequence
 
@@ -134,11 +133,10 @@ def collapse_consistency(
     lams = np.asarray(lams, dtype=complex)
     rels = np.empty(lams.size)
     for k, lam in enumerate(lams.tolist()):
-        # both forms read the same two chains, so each is solved once
-        sol_a = solve_chain(prob_a, lam, tol=BRACKET_TOL)
-        sol_b = solve_chain(prob_b, lam, tol=BRACKET_TOL)
-        ref = _f_sample(sol_a, sol_b, prob_a.d, lam, "pi")
-        col = _f_sample(sol_a, sol_b, prob_a.d, lam, b)
+        # both forms read the same two walks, so each chain is solved once
+        reads = _f_reads(prob_a, prob_b, lam, b)
+        ref = _f_sample(reads, prob_a.d, lam, "pi")
+        col = _f_sample(reads, prob_a.d, lam, b)
         diff = ref.F - col.F
         scale = max(ref.F.log_abs, col.F.log_abs)
         rels[k] = math.exp(diff.log_abs - scale) if scale > -math.inf else 0.0

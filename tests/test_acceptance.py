@@ -25,7 +25,7 @@ from sturmdisc.entire import (
 )
 from sturmdisc.expr import PotentialExpr
 from sturmdisc.norming import check_identity
-from sturmdisc.ode import solve_chain, wronskian_check
+from sturmdisc.ode import ScaledVal, solve_chain, wronskian_check
 from sturmdisc.problem import Problem
 from sturmdisc.spectrum import ZeroSequence, find_eigenvalues
 from sturmdisc.uniq import collapse_consistency, bracket_decay_probe, modify_below
@@ -109,9 +109,8 @@ def test_criterion_03_jump_and_wronskian():
             gamma=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
             d=1.3,
         )
-        sol = solve_chain(p, lam)
-        left = sol.state(p.d, side="-")
-        right = sol.state(p.d, side="+")
+        # d listed twice: the states before and after the matching
+        (left, right), _ = solve_chain(p, lam, [p.d, p.d])
         ref = max(1.0, abs(left[0, 0]), abs(left[0, 1]))
         worst_jump = max(
             worst_jump,
@@ -212,9 +211,9 @@ def test_criterion_07_expansion_recursion():
     # makes the average per-term residual shrink comfortably exceed 5x
     S4, _ = s_series("1", xs, 4.0, 8)
     p = Problem(q=PotentialExpr.parse("1"))
-    sol = solve_chain(p, 4.0, x_from=0.0, x_to=PI, init=(0.0, 1.0))
     pts = xs[::400]
-    ytrue = np.array([sol.value(float(x)).value for x in pts])
+    states, logs = solve_chain(p, 4.0, pts, x_from=0.0, init=(0.0, 1.0))
+    ytrue = np.array([ScaledVal(z[0, 0], log).value for z, log in zip(states, logs)])
     res = []
     for pmax in range(1, 9):
         part = sum(S4[j] for j in range(pmax + 1))[::400]

@@ -17,7 +17,7 @@ from sturmdisc.asympt import (
     y2_model,
 )
 from sturmdisc.expr import PotentialExpr
-from sturmdisc.ode import solve_chain
+from sturmdisc.ode import ScaledVal, solve_chain
 from sturmdisc.problem import Problem
 
 PI = math.pi
@@ -92,8 +92,8 @@ class TestExpansionTables:
         p = Problem(q=PotentialExpr.parse("1"))
         errs = []
         for lam in (400.0, 1600.0):
-            sol = solve_chain(p, lam, x_from=0.0, x_to=PI, init=(0.0, 1.0))
-            ytrue = sol.value(PI).value
+            (end,), (log,) = solve_chain(p, lam, [PI], x_from=0.0, init=(0.0, 1.0))
+            ytrue = ScaledVal(end[0, 0], log).value
             errs.append(abs(y2_model(t, PI, lam) - ytrue))
         assert errs[0] / errs[1] > 6.0
 
@@ -101,8 +101,8 @@ class TestExpansionTables:
         t = build_expansion("1", m=0)
         p = Problem(q=PotentialExpr.parse("1"))
         lam = 900.0
-        sol = solve_chain(p, lam, x_from=0.0, x_to=PI, init=(0.0, 1.0))
-        dtrue = sol.value(PI, deriv=1).value
+        (end,), (log,) = solve_chain(p, lam, [PI], x_from=0.0, init=(0.0, 1.0))
+        dtrue = ScaledVal(end[0, 1], log).value
         assert dy2_model(t, PI, lam) == pytest.approx(dtrue, rel=2e-4)
 
 
@@ -121,9 +121,9 @@ class TestIteratedSeries:
         xs = np.linspace(0.0, PI, 4001)
         S, C = s_series("1", xs, lam, 10)
         p = Problem(q=PotentialExpr.parse("1"))
-        sol = solve_chain(p, lam, x_from=0.0, x_to=PI, init=(0.0, 1.0))
-        v = sol.value(PI)
-        dv = sol.value(PI, deriv=1)
+        (end,), (log,) = solve_chain(p, lam, [PI], x_from=0.0, init=(0.0, 1.0))
+        v = ScaledVal(end[0, 0], log)
+        dv = ScaledVal(end[0, 1], log)
         assert sum(Sp[-1] for Sp in S) == pytest.approx(v.value, abs=1e-9)
         assert sum(Cp[-1] for Cp in C) == pytest.approx(dv.value, abs=1e-9)
 
@@ -135,9 +135,9 @@ class TestIteratedSeries:
         xs = np.linspace(0.0, PI, 4001)
         S, _ = s_series("1", xs, lam, 8)
         p = Problem(q=PotentialExpr.parse("1"))
-        sol = solve_chain(p, lam, x_from=0.0, x_to=PI, init=(0.0, 1.0))
         pts = xs[::400]
-        ytrue = np.array([sol.value(float(x)).value for x in pts])
+        states, logs = solve_chain(p, lam, pts, x_from=0.0, init=(0.0, 1.0))
+        ytrue = np.array([ScaledVal(z[0, 0], log).value for z, log in zip(states, logs)])
         res = []
         for pmax in range(1, 9):
             part = sum(S[j] for j in range(pmax + 1))[::400]
@@ -163,8 +163,8 @@ class TestLeadingPhi:
             q=PotentialExpr.parse("sin(x)"), h=0.3, beta=2.0, d=PI / 3
         )
         lam, x = 1e6, 2.5
-        sol = solve_chain(p, lam, x_from=0.0, x_to=x, init=(1.0, 0.3))
-        got = sol.value(x).value
+        (end,), (log,) = solve_chain(p, lam, [x], x_from=0.0, init=(1.0, 0.3))
+        got = ScaledVal(end[0, 0], log).value
         # leading large-lambda form of phi past the jump at d
         s = math.sqrt(lam)
         phi = p.b1 * math.cos(s * x) + p.b2 * math.cos(s * (2 * p.d - x))

@@ -157,17 +157,25 @@ class TestFarRayAccuracy:
     (the default ``tol``; the README's "Accuracy" section quotes this)."""
 
     DATA = dict(h=0.3, H=0.1, beta=1.5, gamma=0.2j, d=PI / 2)
+    LAMS = [1j * 10.0**k for k in range(2, 7)] + [1e6 + 1e3j]
 
-    @pytest.mark.parametrize("lam", [1j * 10.0**k for k in range(2, 7)] + [1e6 + 1e3j])
-    def test_relative_error_grows_like_sqrt_lam(self, lam):
-        p = free(**self.DATA)
-        sample = char_delta(p, lam)
-        growth = PI * cmath.sqrt(lam).imag
+    def check(self, q, c, lam):
+        # a constant potential c shifts the spectral parameter to lam - c
+        sample = char_delta(Problem(q=PotentialExpr.parse(q), **self.DATA), lam)
+        growth = PI * cmath.sqrt(lam - c).imag
         for got, want in zip(
-            (sample.delta, sample.delta_inf), free_jump_scaled(lam, **self.DATA)
+            (sample.delta, sample.delta_inf), free_jump_scaled(lam - c, **self.DATA)
         ):
             err = abs(got.val * math.exp(got.log - growth) - want) / abs(want)
             assert err < 5e-11 * math.sqrt(abs(lam))
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_relative_error_grows_like_sqrt_lam(self, lam):
+        self.check("0", 0.0, lam)
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_shifted_free_problem(self, lam):
+        self.check("2 - 0.5i", 2 - 0.5j, lam)
 
 
 class TestRayAsymptotics:

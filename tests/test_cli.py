@@ -242,6 +242,17 @@ class TestValidationErrors:
         assert main(["charfn", "--config", cfg]) == 1
         assert "$.problems.p.q" in capsys.readouterr().err
 
+    def test_pole_between_samples(self, tmp_path, capsys):
+        # the pole at x = 1 falls between the sample points of the piece
+        for q, code in (("1/(x-1)", 1), ("1/(x-4)", 0)):
+            cfg = write_config(
+                tmp_path,
+                {"problems": {"p": {"q": q}}, "charfn": {"problem": "p", "lambdas": [1]}},
+            )
+            assert main(["charfn", "--config", cfg]) == code
+            err = capsys.readouterr().err
+            assert ("$.problems.p.q" in err) == (code == 1)
+
     def test_unknown_section_field(self, tmp_path, capsys, monkeypatch):
         def no_search(*args, **kw):
             raise AssertionError("the search ran before the config was checked")

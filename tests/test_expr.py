@@ -111,6 +111,15 @@ class TestNonFinite:
         with pytest.raises(ExprError):
             PotentialExpr.from_spec(spec)
 
+    def test_polynomial_divisor_root_between_samples(self):
+        # x = 1 lies between the 9 sample points of [0, pi]
+        with pytest.raises(ExprError, match="pole"):
+            PotentialExpr.parse("1/(x - 1)")
+        with pytest.raises(ExprError, match="pole"):
+            PotentialExpr.parse("sin(x) + 2/((x - 1.2)^2 * (x + 3))")
+        PotentialExpr.parse("1/(x - 4)")
+        PotentialExpr.parse("1/(x^2 + 1)")
+
     @given(expressions())
     @settings(max_examples=120, deadline=None)
     def test_parse_gives_finite_values_or_expr_error(self, src):

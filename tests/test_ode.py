@@ -8,18 +8,18 @@ import pkgutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_charfn import consistency_setups
 
 import sturmdisc
 from sturmdisc import ode
-from sturmdisc.charfn import _deltas, char_delta, delta_consistency
+from sturmdisc.charfn import _deltas, char_delta, delta_consistency, f_function
 from sturmdisc.expr import PotentialExpr
 from sturmdisc.norming import compute_norming
 from sturmdisc.ode import (
     TOL,
     ScaledVal,
-    fundamental_pair,
     growth_rate,
     jump_backward,
     jump_forward,
@@ -30,6 +30,7 @@ from sturmdisc.ode import (
 )
 from sturmdisc.problem import Problem
 from sturmdisc.spectrum import EigenRecord
+from sturmdisc.uniq import collapse_consistency, modify_below
 
 PI = math.pi
 
@@ -77,26 +78,26 @@ class TestClosedFormFree:
     @pytest.mark.parametrize("lam", [4.0, 25.0, -9.0, 3.0 + 4.0j])
     def test_phi_matches_cosine(self, lam):
         p = free_problem()
-        sol = solve_chain(p, complex(lam))
+        xs = (0.5, 1.7, PI)
+        states, logs = solve_chain(p, complex(lam), xs)
         s = cmath.sqrt(complex(lam))
-        for x in (0.5, 1.7, PI):
-            st_ = sol.state(x)
-            scale = math.exp(sol.logscale(x))
+        for x, st_, log in zip(xs, states, logs):
+            scale = math.exp(log)
             assert st_[0, 0] * scale == pytest.approx(cmath.cos(s * x), rel=1e-9, abs=1e-9)
             assert st_[0, 1] * scale == pytest.approx(-s * cmath.sin(s * x), rel=1e-9, abs=1e-9)
 
     def test_psi_backward_dirichlet_at_pi(self):
         # right-side solution normalized by the Robin data at pi
         p = free_problem(H=0.25)
-        sol = solve_chain(p, 16.0, side="right")
-        end = sol.state(PI)
+        states, _ = solve_chain(p, 16.0, [PI, 0.0], side="right")
+        end = states[0]
         assert end[0, 0] == pytest.approx(1.0)
         assert end[0, 1] == pytest.approx(-0.25)
 
     def test_left_robin_data(self):
         p = free_problem(h=0.3 + 0.2j)
-        sol = solve_chain(p, 9.0)
-        start = sol.state(0.0)
+        states, _ = solve_chain(p, 9.0, [0.0, PI])
+        start = states[0]
         assert start[0, 0] == pytest.approx(1.0)
         assert start[0, 1] == pytest.approx(0.3 + 0.2j)
 
@@ -110,9 +111,8 @@ class TestJumpConditions:
             gamma=0.4 - 0.2j,
             d=1.1,
         )
-        sol = solve_chain(p, complex(lam))
-        left = sol.state(p.d, side="-")
-        right = sol.state(p.d, side="+")
+        # d listed twice: the states before and after the matching
+        (left, right), _ = solve_chain(p, complex(lam), [p.d, p.d])
         ref = max(1.0, abs(left[0, 0]), abs(left[0, 1]))
         assert abs(right[0, 0] - p.beta * left[0, 0]) / ref < 1e-12
         want = left[0, 1] / p.beta + p.gamma * left[0, 0]
@@ -132,8 +132,8 @@ class TestScaling:
         # raw solutions reach exp(~2221) here; the scaled state must stay O(1)
         p = free_problem()
         lam = 1e6j
-        sol = solve_chain(p, lam)
-        end = sol.state(PI)
+        states, _ = solve_chain(p, lam, [PI])
+        end = states[0]
         assert np.all(np.isfinite(end))
         # cos(s pi) e^{-mu pi} without overflow: the e^{-i s pi} half carries
         # all the growth, the other half is exponentially negligible
@@ -146,9 +146,9 @@ class TestScaling:
         lams = np.array([4.0, 9.0 + 1.0j, 30.0])
         states, logs = solve_many(p, lams)
         for k, lam in enumerate(lams):
-            sol = solve_chain(p, complex(lam), tol=1e-9)
-            end = sol.state(PI)
-            ref = sol.end_logscale
+            states_1, logs_1 = solve_chain(p, complex(lam), [PI], tol=1e-9)
+            end = states_1[0]
+            ref = logs_1[0]
             assert states[k, 0, 0] * math.exp(logs[k]) == pytest.approx(
                 complex(end[0, 0]) * math.exp(ref), rel=1e-7
             )
@@ -181,11 +181,15 @@ class TestWronskian:
 
     def test_fundamental_pair_initial_data(self):
         p = free_problem()
-        y1, y2 = fundamental_pair(p, 12.0, 0.5, 2.5)
-        assert y1.state(0.5)[0, 0] == pytest.approx(1.0)
-        assert y1.state(0.5)[0, 1] == pytest.approx(0.0)
-        assert y2.state(0.5)[0, 0] == pytest.approx(0.0)
-        assert y2.state(0.5)[0, 1] == pytest.approx(1.0)
+        # the pair wronskian_check walks from r = 0.5 to x0 = 2.5
+        y1, y2 = (
+            solve_chain(p, 12.0, [0.5, 2.5], x_from=0.5, init=init)[0][0]
+            for init in ((1.0, 0.0), (0.0, 1.0))
+        )
+        assert y1[0, 0] == pytest.approx(1.0)
+        assert y1[0, 1] == pytest.approx(0.0)
+        assert y2[0, 0] == pytest.approx(0.0)
+        assert y2[0, 1] == pytest.approx(1.0)
 
     @pytest.mark.xfail(
         strict=True,
@@ -213,22 +217,22 @@ class TestOneWalker:
             sample = char_delta(p, lam, nu_max=nu_max)
             states, logs = solve_many(p, [lam], nu_max=nu_max, tol=TOL)
             d, d_inf = _deltas(p, states[0])
-            sol = solve_chain(p, lam, nu_max=nu_max)
-            z = sol.state(PI, side="-")
+            chain_states, chain_logs = solve_chain(p, lam, [PI], nu_max=nu_max)
+            z = chain_states[0]
             for j in range(nu_max + 1):
                 fact = math.factorial(j)
                 want_inf = -fact * z[j, 0]
                 want = want_inf if p.dirichlet else fact * (z[j, 1] + p.H * z[j, 0])
                 assert sample.ddelta[j].val == d[j] == want
                 assert sample.ddelta_inf[j].val == d_inf[j] == want_inf
-                assert sample.ddelta[j].log == logs[0] == sol.end_logscale
+                assert sample.ddelta[j].log == logs[0] == chain_logs[0]
 
     def test_side_names_are_checked(self):
         p = free_problem()
         with pytest.raises(ValueError, match="side"):
             solve_many(p, [4.0], side="up")
         with pytest.raises(ValueError, match="side"):
-            solve_chain(p, 4.0).state(p.d, side="left")
+            solve_chain(p, 4.0, [PI], side="up")
 
     def test_solve_many_shape(self):
         p = free_problem()
@@ -238,8 +242,49 @@ class TestOneWalker:
             assert logs.shape == (2,)
 
 
+class TestReadPoints:
+    """``solve_chain`` reads the states of one walk at requested points."""
+
+    @given(consistency_setups(), st.lists(st.floats(0.05, PI - 0.05), min_size=1, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_points_of_one_walk(self, setup, xs):
+        problem, lam = setup
+        d = problem.d
+        assume(all(abs(x - d) > 1e-9 for x in xs))
+        pts = sorted(xs + [d, d]) + [PI]
+        states, logs = solve_chain(problem, lam, pts, nu_max=1)
+        # the far end is the batched solve's end state, bit for bit
+        end, end_logs = solve_many(problem, [lam], nu_max=1)
+        assert np.array_equal(states[-1], end[0])
+        assert logs[-1] == end_logs[0]
+        # d listed twice: the states before and after the matching
+        k = pts.index(d)
+        left, right = states[k], states[k + 1]
+        ref = max(1.0, np.abs(left).max())
+        assert np.abs(right[:, 0] - problem.beta * left[:, 0]).max() / ref < 1e-12
+        want = left[:, 1] / problem.beta + problem.gamma * left[:, 0]
+        assert np.abs(right[:, 1] - want).max() / ref < 1e-12
+        # restarting from an intermediate state reaches the same end state
+        k = pts.index(xs[0])
+        if k > pts.index(d):
+            k += 1  # past d, the state after the matching
+        restart, restart_logs = solve_chain(
+            problem, lam, [PI], nu_max=1, x_from=pts[k], init=states[k]
+        )
+        again = restart[0] * math.exp(restart_logs[0] + logs[k] - logs[-1])
+        assert np.abs(again - end[0]).max() <= 1e-8 * np.abs(end[0]).max()
+
+    def test_points_must_follow_the_walk(self):
+        p = free_problem()
+        with pytest.raises(ValueError, match="ordered"):
+            solve_chain(p, 4.0, [PI, 1.0])
+        with pytest.raises(ValueError, match="ordered"):
+            solve_chain(p, 4.0, [1.0, 0.0], side="right", x_from=0.5)
+
+
 class TestDenseOutput:
-    """Only solves whose interior states are read build dense output."""
+    """Only segments that hold a requested interior point build an
+    interpolant."""
 
     @pytest.fixture
     def ivp_calls(self, monkeypatch):
@@ -269,6 +314,19 @@ class TestDenseOutput:
         assert phi and not any(phi)
         assert psi and all(psi)
 
+    def test_bracket_reads(self, ivp_calls):
+        p = Problem(q="sin(x)", h=0.3, H=0.1, beta=1.5, gamma=0.2j, d=PI / 2)
+        pb = modify_below(p, p.d, m=0, weight=0.4, dh=0.2)
+        # d-0, d+0 and pi are segment ends of both walks
+        f_function(p, pb, 5.0)
+        collapse_consistency(p, pb, p.d, lams=[5.0])
+        assert ivp_calls
+        assert not any(dense for _, dense in ivp_calls)
+        # b = 2 ends a segment of the perturbed walk only
+        ivp_calls.clear()
+        f_function(p, modify_below(p, 2.0, m=0, weight=0.4), 5.0, at=2.0)
+        assert [span for span, dense in ivp_calls if dense] == [(PI / 2, PI)]
+
 
 class TestDerivativeChain:
     def test_first_derivative_matches_central_difference(self):
@@ -276,11 +334,10 @@ class TestDerivativeChain:
         # lam is the right independent check (complex step needs realness)
         p = Problem(q=PotentialExpr.parse("sin(x)"), h=0.3, beta=1.5, gamma=0.2j)
         lam = 11.0
-        sol = solve_chain(p, lam, nu_max=1)
-        end = sol.state(PI)
+        end = solve_chain(p, lam, [PI], nu_max=1)[0][0]
         eps = 1e-5
-        hi = solve_chain(p, lam + eps).state(PI)[0, 0]
-        lo = solve_chain(p, lam - eps).state(PI)[0, 0]
+        hi = solve_chain(p, lam + eps, [PI])[0][0, 0, 0]
+        lo = solve_chain(p, lam - eps, [PI])[0][0, 0, 0]
         fd = (hi - lo) / (2 * eps)
         assert end[1, 0] == pytest.approx(fd, rel=1e-7)
 
@@ -289,14 +346,13 @@ class TestDerivativeChain:
         p = free_problem()
         lam = 6.25
         s = math.sqrt(lam)
-        sol = solve_chain(p, lam, nu_max=1)
+        end = solve_chain(p, lam, [PI], nu_max=1)[0][0]
         want = -PI * math.sin(s * PI) / (2 * s)
-        assert sol.state(PI)[1, 0] == pytest.approx(want, rel=1e-9)
+        assert end[1, 0] == pytest.approx(want, rel=1e-9)
 
     def test_chain_initial_data_is_zero(self):
         p = free_problem()
-        sol = solve_chain(p, 3.0, nu_max=2)
-        start = sol.state(0.0)
+        start = solve_chain(p, 3.0, [0.0, PI], nu_max=2)[0][0]
         assert start[1, 0] == 0 and start[1, 1] == 0
         assert start[2, 0] == 0 and start[2, 1] == 0
 
@@ -305,24 +361,22 @@ class TestPairIntegrals:
     def test_identical_problems_zero_bracket(self):
         p = Problem(q=PotentialExpr.parse("sin(x)"), h=0.1)
         init = np.array([[1.0, 0.1]], dtype=complex)
-        res = pair_integrals(p, p, 14.0, 0.0, 2.0, init, init, [(0, 0)])
-        assert abs(res.integrals[0].val) < 1e-12
+        (integral,) = pair_integrals(p, p, 14.0, 0.0, 2.0, init, init, [(0, 0)])
+        assert abs(integral.val) < 1e-12
 
     def test_accumulated_integral_matches_quadrature(self):
         pa = Problem(q=PotentialExpr.parse("0"))
         pb = Problem(q=PotentialExpr.parse("1"))
         lam = 5.0
         init = np.array([[1.0, 0.0]], dtype=complex)
-        res = pair_integrals(pa, pb, lam, 0.0, 1.2, init, init, [(0, 0)])
+        (integral,) = pair_integrals(pa, pb, lam, 0.0, 1.2, init, init, [(0, 0)])
         # direct quadrature of (qB - qA) * yA * yB with explicit solutions
-        sa = solve_chain(pa, lam, x_from=0.0, x_to=1.2, init=init)
-        sb = solve_chain(pb, lam, x_from=0.0, x_to=1.2, init=init)
         xs = np.linspace(0.0, 1.2, 2001)
-        vals = np.array(
-            [sa.state(float(x))[0, 0] * sb.state(float(x))[0, 0] for x in xs]
-        )
+        sa, _ = solve_chain(pa, lam, xs, x_from=0.0, init=init)
+        sb, _ = solve_chain(pb, lam, xs, x_from=0.0, init=init)
+        vals = sa[:, 0, 0] * sb[:, 0, 0]
         want = np.trapezoid(vals, xs)
-        assert res.integrals[0].value == pytest.approx(want, rel=1e-6)
+        assert integral.value == pytest.approx(want, rel=1e-6)
 
 
 class TestAccuracyArgument:
@@ -332,7 +386,6 @@ class TestAccuracyArgument:
     TAKES_TOL = {
         "sturmdisc.ode.solve_chain",
         "sturmdisc.ode.solve_many",
-        "sturmdisc.ode.fundamental_pair",
         "sturmdisc.ode.wronskian_check",
         "sturmdisc.ode.pair_integrals",
         "sturmdisc.charfn.char_delta",
