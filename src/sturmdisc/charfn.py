@@ -104,15 +104,39 @@ def delta_many(problem: Problem, lams, *, tol: float = TOL):
 
 
 def delta_consistency(problem: Problem, lam: complex) -> float:
-    """Relative disagreement between the left and right evaluations of
-    ``delta`` (``V(phi)`` versus ``-U(psi)``); an integrator diagnostic."""
+    """Disagreement between the left and right evaluations of ``delta``
+    (``V(phi)`` versus ``-U(psi)``); an integrator diagnostic.
 
-    left = char_delta(problem, lam).delta
+    ``delta`` is the Wronskian of ``phi`` and ``psi``, so the disagreement
+    is taken relative to the Wronskian's scale ``s A(phi) A(psi)`` at ``pi``
+    and at 0, or to ``|delta|`` where that is larger, with the amplitude
+    ``A(y) = sqrt(|y|^2 + |y'/s|^2)`` and ``s = sqrt(max(|lam|, 1))``.  Each
+    evaluation errs by about ``tol`` times that scale, also at an eigenvalue,
+    where ``delta`` itself vanishes and a ratio to ``|delta|`` alone would
+    report a working integrator as failing.
+    """
+
+    sample = char_delta(problem, lam)
+    left = sample.delta
     states, logs = solve_many(problem, [lam], side="right")
-    z = states[0]
-    right = ScaledVal(-(z[0, 1] - problem.h * z[0, 0]), float(logs[0]))
+    z = states[0, 0]
+    right = ScaledVal(-(z[1] - problem.h * z[0]), float(logs[0]))
+    s = math.sqrt(max(abs(lam), 1.0))
+
+    def amp(y, dy):
+        return math.hypot(abs(y), abs(dy) / s)
+
+    # psi starts at pi from (0, 1) or (1, -H); phi starts at 0 from (1, h)
+    amp_psi_pi = 1.0 / s if problem.dirichlet else amp(1.0, problem.H)
+    at_pi = s * amp(sample.phi_end.val, sample.dphi_end.val) * amp_psi_pi
+    at_0 = s * amp(1.0, problem.h) * amp(z[0], z[1])
     diff = left - right
-    ref = max(left.log_abs, right.log_abs)
+    ref = max(
+        left.log_abs,
+        right.log_abs,
+        math.log(at_pi) + sample.phi_end.log if at_pi > 0 else -math.inf,
+        math.log(at_0) + float(logs[0]) if at_0 > 0 else -math.inf,
+    )
     if ref == -math.inf:
         return abs(diff.val)
     return math.exp(diff.log_abs - ref)

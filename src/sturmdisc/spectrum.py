@@ -99,9 +99,9 @@ class _Cache:
         return np.array([self.store[p] for p in pts], dtype=complex)
 
 
-def _refine_until_resolved(cache, pts, max_depth=26):
-    """Insert midpoints until all phase steps are below pi/2; return the
-    resulting points, values and total winding."""
+def _refine_until_resolved(cache, pts, max_depth=26, limit=_PHASE_LIMIT):
+    """Insert midpoints until all phase steps are below ``limit``; return
+    the resulting points, values and total winding."""
 
     pts = list(pts)
     vals = cache(pts)
@@ -111,7 +111,7 @@ def _refine_until_resolved(cache, pts, max_depth=26):
         if np.any(mags <= 1e-10 * neighbor):
             raise ZeroOnContour("sample magnitude collapse on contour")
         steps = np.angle(vals[1:] / vals[:-1])
-        bad = set(np.nonzero(np.abs(steps) >= _PHASE_LIMIT)[0])
+        bad = set(np.nonzero(np.abs(steps) >= limit)[0])
         if not bad:
             return pts, vals, int(round(steps.sum() / (2 * math.pi)))
         new_pts = []
@@ -132,7 +132,10 @@ def _winding_closed(cache, pts, max_depth=26, verify_passes=3):
     Midpoints are inserted until every phase step is below pi/2; since a
     bounded step can still hide a silent extra turn of 2 pi on a coarse
     segment, at least one global halving pass must then leave the count
-    unchanged before it is accepted.
+    unchanged before it is accepted.  A halving pass refines on to steps
+    below pi/4: where the phase is smooth, halving halves the steps and
+    adds no point, but a half step that stays large marks zeros close to
+    the segment, whose combined turn (up to pi per zero) can wrap past 2 pi.
     """
 
     pts, vals, winding = _refine_until_resolved(cache, pts, max_depth)
@@ -142,7 +145,9 @@ def _winding_closed(cache, pts, max_depth=26, verify_passes=3):
             halved.append(a)
             halved.append(0.5 * (a + b))
         halved.append(pts[-1])
-        pts, vals, new_winding = _refine_until_resolved(cache, halved, max_depth)
+        pts, vals, new_winding = _refine_until_resolved(
+            cache, halved, max_depth, limit=0.5 * _PHASE_LIMIT
+        )
         if new_winding == winding:
             return winding
         winding = new_winding

@@ -101,6 +101,19 @@ class TestConsistency:
         for lam in (3.0, 21.0 + 4.0j, -6.0):
             assert delta_consistency(p, complex(lam)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "q, kw, lam",
+        [
+            ("0", {"H": None}, 6.25),  # delta = -cos(2.5 pi) = 0
+            ("0", {}, 9.0),  # delta = -3 sin(3 pi) = 0
+            # |delta| about 1/400 of the solution scale, next to an eigenvalue
+            ("-0.125", {"h": -0.25, "H": None, "beta": 2.3125, "gamma": -0.25, "d": 0.3}, 188.0625),
+        ],
+    )
+    def test_evaluations_agree_at_eigenvalues(self, q, kw, lam):
+        p = Problem(q=PotentialExpr.parse(q), **kw)
+        assert delta_consistency(p, complex(lam)) < 1e-10
+
     def test_derivatives_match_central_difference(self):
         p = Problem(q=PotentialExpr.parse("sin(x)"), h=0.2, beta=1.5, gamma=0.1j)
         lam = 13.0

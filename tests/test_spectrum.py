@@ -54,6 +54,19 @@ class TestWindingCounts:
         assert count_zeros(f, (0.0, 12.0, -5.0, 5.0)) == 2
         assert count_zeros(f, (0.0, 12.0, 1.0, 5.0)) == 1
 
+    def test_two_zeros_close_to_a_coarse_edge(self):
+        # delta of q = 0, h = H = 0, beta = 1, gamma = i, d = 1; its zeros
+        # 0.1174 + 0.2949i and 0.9758 + 0.1964i pass one sample step of the
+        # left edge together, with a combined turn that wraps past 2 pi
+        def f(lams):
+            s = np.sqrt(np.asarray(lams, dtype=complex))
+            return -s * np.sin(s * PI) + 1j * np.cos(s) * np.cos(s * (PI - 1.0))
+
+        assert count_zeros(f, (0.053361, 1.515361, -41.0931, 41.1043)) == 2
+        records = find_eigenvalues(free(gamma=1j, d=1.0), 40.0)
+        assert [r.multiplicity for r in records] == [1] * 7
+        assert abs(records[0].lam - (0.1173899 + 0.2949410j)) < 1e-6
+
 
 class TestClassicalSpectra:
     def test_free_neumann_squares(self):
