@@ -25,7 +25,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import make_interp_spline
 
 from .expr import PotentialExpr, as_polynomial
-from .ode import BRACKET_TOL, growth_rate, pair_integrals
+from .ode import BRACKET_TOL, pair_integrals
 from .problem import Problem
 
 
@@ -315,13 +315,6 @@ def s_tail_envelope(q, x: float, lam: complex, p: int, m: int) -> float:
 # Ray decay of paired-solution brackets
 # ---------------------------------------------------------------------------
 
-_COMBO_INIT = {
-    (1, 1): 0.0,
-    (1, 2): 1.0,
-    (2, 1): -1.0,
-    (2, 2): 0.0,
-}
-
 # claimed decay exponent (power of |sqrt(lam)|) for each combination when the
 # potentials match to m derivatives at x0
 _COMBO_ORDER = {
@@ -383,7 +376,7 @@ def decay_order_fit(
     if ys is None:
         ys = np.geomspace(1e2, 1e6, 9)
     ys = np.asarray(ys, dtype=float)
-    init = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    init = ((1.0, 0.0), (0.0, 1.0))
     # scale of the accumulated integrand, for the noise floor
     xs_probe = np.linspace(r, x0, 257)
     qdiff = np.max(
@@ -393,15 +386,10 @@ def decay_order_fit(
     floors = np.empty(ys.size)
     for k, y in enumerate(ys):
         lam = 1j * y
-        (integral,) = pair_integrals(
-            prob_a, prob_b, lam, r, x0, init, init, [(combo[0] - 1, combo[1] - 1)],
+        scaled = pair_integrals(
+            prob_a, prob_b, lam, r, x0, init[combo[0] - 1], init[combo[1] - 1],
             tol=BRACKET_TOL,
-        )
-        mu = growth_rate(lam)
-        winit = _COMBO_INIT[combo]
-        scaled = integral.val + winit * math.exp(
-            -2.0 * mu * (x0 - r) if mu * (x0 - r) < 350 else -math.inf
-        )
+        ).val
         s_abs = math.sqrt(abs(lam))
         amp = (1.0 / s_abs) ** ((combo[0] == 2) + (combo[1] == 2))
         floor = 30.0 * BRACKET_TOL * max(qdiff, 1e-30) * (x0 - r) * amp

@@ -221,11 +221,6 @@ def f_bracket_ray(prob_a: Problem, prob_b: Problem, b: float, lam: complex) -> S
     the solutions themselves.
     """
 
-    init_a = np.array([[1.0, prob_a.h]], dtype=complex)
-    init_b = np.array([[1.0, prob_b.h]], dtype=complex)
-    (integral,) = pair_integrals(
-        prob_a, prob_b, lam, 0.0, b, init_a, init_b, [(0, 0)], tol=BRACKET_TOL
+    return pair_integrals(
+        prob_a, prob_b, lam, 0.0, b, (1.0, prob_a.h), (1.0, prob_b.h), tol=BRACKET_TOL
     )
-    base = ScaledVal(prob_b.h - prob_a.h, 0.0)  # bracket at x=0
-    return integral + base
-

@@ -46,6 +46,7 @@ def _search(cfg: RunConfig, path: str):
     bound = get_real(cfg.params, "modulus_bound", path)
     _check(bound > 0, path + ".modulus_bound", "must be positive")
     halfwidth = get_real(cfg.params, "im_halfwidth", path, default=50.0)
+    _check(halfwidth >= 0, path + ".im_halfwidth", "must be non-negative")
     return p, find_eigenvalues(p, bound, im_halfwidth=halfwidth)
 
 

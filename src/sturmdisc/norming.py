@@ -19,18 +19,15 @@ which is the computable contract between the spectrum and the norming data;
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .charfn import char_delta
-from .ode import _ordered_breaks, solve_chain, solve_many
+from .ode import _gauss_nodes, solve_chain, solve_many
 from .problem import Problem
 from .spectrum import EigenRecord
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 @dataclass
@@ -42,23 +39,13 @@ class NormingRecord:
 
 
 def _alphas(problem: Problem, lam: complex, m: int) -> list:
-    """``alpha_nu = integral_0^pi psi_nu psi_{m-1} dx`` for ``nu = 0..m-1``:
-    12-point Gauss-Legendre on panels of length about ``1/sqrt|lam|``
-    inside each segment of the ``psi`` walk, with the states read at the
-    nodes and the exponential scale stripped off by the integrator put
-    back."""
+    """``alpha_nu = integral_0^pi psi_nu psi_{m-1} dx`` for ``nu = 0..m-1``
+    by quadrature at the :func:`~sturmdisc.ode._gauss_nodes` of the ``psi``
+    walk, with the states read at the nodes and the exponential scale
+    stripped off by the integrator put back."""
 
-    rate = abs(cmath.sqrt(lam))
-    xs, ws = [], []
-    path = _ordered_breaks(0.0, math.pi, [problem.d] + problem.q.breakpoints())
-    for lo, hi in zip(path, path[1:]):
-        n_panels = max(6, int(1.0 * rate * (hi - lo)) + 1)
-        edges = np.linspace(lo, hi, n_panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-        xs.append((half * _GL_NODES + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel())
-        ws.append((half * _GL_WEIGHTS).ravel())
     # psi walks from pi to 0, so the nodes are read in descending order
-    x, w = np.concatenate(xs)[::-1], np.concatenate(ws)[::-1]
+    x, w = _gauss_nodes(lam, math.pi, 0.0, [problem.d] + problem.q.breakpoints())
     states, logs = solve_chain(problem, lam, np.append(x, 0.0), nu_max=m - 1, side="right")
     psi = states[:-1, :, 0]
     f = psi * psi[:, m - 1 : m] * np.exp(2.0 * logs[:-1])[:, None]

@@ -20,25 +20,23 @@ multiple-eigenvalue data are obtained without finite differencing.
 At the discontinuity ``x = d`` the state is pushed through the matching
 conditions (or their inverse when integrating right-to-left).
 
-One private segment walker (``_walk``) advances a batch of lambda through
-the pieces of ``q`` and the jump at ``d`` and returns the states at the
-points it is asked for.  :func:`solve_many` runs it on a batch and reads
-the far end only; :func:`solve_chain` runs it on one lambda and reads a
-list of points (the Wronskian's grid, ``b``, ``d-0``, ``d+0`` and ``pi``
-for the bracket ``F``, the quadrature nodes of the norming integrals).  A
-point inside a segment costs that segment a DOP853 interpolant, three extra
-RHS stages per step; a point at a segment end costs nothing.
+One private segment walker (``_walk``) advances a batch of lambda, for one
+problem or several that share ``d``, through the pieces of ``q`` and the
+jump at ``d`` and returns the states at the points it is asked for.
+:func:`solve_many` runs it on a batch and reads the far end only;
+:func:`solve_chain` runs it on one lambda and reads a list of points (the
+Wronskian's grid, ``b``, ``d-0``, ``d+0`` and ``pi`` for the bracket ``F``,
+the quadrature nodes of the norming integrals).  A point inside a segment
+costs that segment a DOP853 interpolant, three extra RHS stages per step; a
+point at a segment end costs nothing.
 
-Bilinear integrals of pairs of solutions from two different problems are
-accumulated inside their own solve (:func:`pair_integrals`); this matters
-because quantities like ``y*z' - y'*z`` between two nearby problems are
-exponentially smaller than their factors, and accumulating the exact
-integral form avoids the catastrophic cancellation of forming the
-difference afterwards.  That loop stays apart from the walker: it carries
-two problems and bracket accumulators with their own jump term, which the
-walker would have to branch on.
+The bracket ``y*z' - y'*z`` of solutions of two nearby problems is
+exponentially smaller than its factors, so :func:`pair_integrals` does not
+form it from the end states.  It walks both problems at once and sums the
+exact integral form at quadrature nodes, which avoids the catastrophic
+cancellation of forming the difference afterwards.
 
-Accuracy is one argument, ``tol``: both loops run DOP853 through
+Accuracy is one argument, ``tol``: the walker runs DOP853 through
 ``_integrate`` at ``rtol = tol`` and ``atol = tol / 100``.  ``TOL`` is the
 default; ``BRACKET_TOL`` serves the brackets of two solutions (the
 Wronskian, ``F`` and its ray probes), which lose digits to the
@@ -61,6 +59,7 @@ from .problem import Problem
 TOL = 1e-10  # default relative tolerance of every solve
 BRACKET_TOL = 1e-12  # tolerance of the two-problem brackets and their ray probes
 _LOG_MAX = math.log(sys.float_info.max)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +209,15 @@ def _integrate(rhs, lo: float, hi: float, y0, tol: float, dense: bool = False):
     return sol
 
 
-def _walk(problem: Problem, lams, z, a: float, at, *, tol):
-    """Advance the chain states ``z`` (shape ``(n, nu_max+1, 2)``, one row
-    per lambda of ``lams``) from ``a`` to the last point of ``at``, segment
-    by segment between the breakpoints of ``q`` and ``d``, through the
-    matching at ``d``, and read the states at the points ``at``.
+def _walk(problems: Sequence[Problem], lams, z, a: float, at, *, tol):
+    """Advance the chain states ``z`` (shape ``(rows, nu_max+1, 2)``) from
+    ``a`` to the last point of ``at``, segment by segment between the
+    breakpoints of every ``q`` and ``d``, through the matching at ``d``, and
+    read the states at the points ``at``.
+
+    The rows run over ``lams`` for each of ``problems`` in turn, so
+    ``rows = len(problems) * len(lams)``; the problems must share ``d``.
+    Each row sees its own problem's ``q`` and matching.
 
     ``at`` is ordered along the walk.  A point inside a segment is read from
     that segment's DOP853 interpolant, which is built only for segments that
@@ -223,11 +226,15 @@ def _walk(problem: Problem, lams, z, a: float, at, *, tol):
     second entry reads the state after it.
 
     Returns ``(states, logs)``: the scaled states, shape
-    ``(len(at), n, nu_max+1, 2)``, and their log scales ``mu |x - a|``,
-    shape ``(len(at), n)``.
+    ``(len(at), rows, nu_max+1, 2)``, and their log scales ``mu |x - a|``,
+    shape ``(len(at), rows)``.
     """
 
-    lams = np.asarray(lams, dtype=complex)
+    d = problems[0].d
+    if any(abs(p.d - d) > 1e-12 for p in problems):
+        raise ValueError("problems walked together must share the discontinuity point")
+    n = len(lams)
+    lams = np.tile(np.asarray(lams, dtype=complex), len(problems))
     at = np.asarray(at, dtype=float).ravel()
     b = float(at[-1])
     direction = 1.0 if b >= a else -1.0
@@ -237,15 +244,20 @@ def _walk(problem: Problem, lams, z, a: float, at, *, tol):
     mus = np.array([growth_rate(lam) for lam in lams])
     mu_signed = (direction * mus)[:, None]
     lam_col = lams[:, None]
-    qx = problem.q
     states = np.empty((at.size,) + z.shape, dtype=complex)
     i = 0
     while i < at.size and abs(at[i] - a) <= 1e-12:
         states[i] = z
         i += 1
-    path = _ordered_breaks(a, b, [problem.d] + qx.breakpoints())
+    path = _ordered_breaks(a, b, [d] + [x for p in problems for x in p.q.breakpoints()])
     for lo, hi in zip(path, path[1:]):
-        qfn = qx.piece_fn(min(lo, hi), max(lo, hi))
+        qfns = [p.q.piece_fn(min(lo, hi), max(lo, hi)) for p in problems]
+        if len(qfns) == 1:
+            (qfn,) = qfns  # one problem: a scalar q, no stacking per call
+        else:
+
+            def qfn(x, qfns=qfns):
+                return np.repeat([f(x) for f in qfns], n)[:, None]
 
         def rhs(x, flat, qfn=qfn):
             zz = flat.reshape(-1, nu_max + 1, 2)
@@ -267,11 +279,12 @@ def _walk(problem: Problem, lams, z, a: float, at, *, tol):
         if i < at.size and abs(at[i] - hi) <= 1e-12:
             states[i] = z
             i += 1
-        if abs(hi - problem.d) < 1e-12:
-            if direction > 0:
-                z = jump_forward(z, problem.beta, problem.gamma)
-            else:
-                z = jump_backward(z, problem.beta, problem.gamma)
+        if abs(hi - d) < 1e-12:
+            jump = jump_forward if direction > 0 else jump_backward
+            z = np.concatenate([
+                jump(block, p.beta, p.gamma)
+                for block, p in zip(np.split(z, len(problems)), problems)
+            ])
         while i < at.size and abs(at[i] - hi) <= 1e-12:
             states[i] = z
             i += 1
@@ -308,7 +321,7 @@ def solve_chain(
     a = a if x_from is None else x_from
     if init is not None:
         z = np.asarray(init, dtype=complex).reshape(z.shape).copy()
-    states, logs = _walk(problem, [lam], z, a, at, tol=tol)
+    states, logs = _walk([problem], [lam], z, a, at, tol=tol)
     return states[:, 0], logs[:, 0]
 
 
@@ -331,7 +344,7 @@ def solve_many(
 
     lams = np.asarray(lams, dtype=complex).ravel()
     z, a, b = _start(problem, side, lams.size, nu_max)
-    states, logs = _walk(problem, lams, z, a, [b], tol=tol)
+    states, logs = _walk([problem], lams, z, a, [b], tol=tol)
     return states[0], logs[0]
 
 
@@ -368,8 +381,30 @@ def wronskian_check(
 
 
 # ---------------------------------------------------------------------------
-# Paired solves with accumulated bilinear integrals
+# Brackets of two problems by quadrature over one walk
 # ---------------------------------------------------------------------------
+
+
+def _gauss_nodes(lam: complex, x_from: float, x_to: float, pts: Sequence[float]):
+    """12-point Gauss-Legendre nodes and weights on panels of length about
+    ``1/sqrt|lam|`` inside each segment of ``[x_from, x_to]`` between the
+    breakpoints ``pts``, ordered along the walk from ``x_from``."""
+
+    rate = abs(cmath.sqrt(lam))
+    xs, ws = [], []
+    path = _ordered_breaks(min(x_from, x_to), max(x_from, x_to), pts)
+    for lo, hi in zip(path, path[1:]):
+        n_panels = max(6, int(1.0 * rate * (hi - lo)) + 1)
+        edges = np.linspace(lo, hi, n_panels + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        xs.append((half * _GL_NODES + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel())
+        ws.append((half * _GL_WEIGHTS).ravel())
+    x, w = np.concatenate(xs), np.concatenate(ws)
+    return (x, w) if x_to >= x_from else (x[::-1], w[::-1])
+
+
+def _bracket(ya, yb):
+    return ya[..., 0] * yb[..., 1] - ya[..., 1] * yb[..., 0]
 
 
 def pair_integrals(
@@ -378,79 +413,47 @@ def pair_integrals(
     lam: complex,
     x_from: float,
     x_to: float,
-    init_a: np.ndarray,
-    init_b: np.ndarray,
-    pairs: Sequence[tuple[int, int]],
+    init_a,
+    init_b,
     *,
     tol: float = TOL,
-) -> list[ScaledVal]:
-    """Advance solutions of two problems together, accumulating for each
-    requested column pair ``(i, j)`` the bracket increment
+) -> ScaledVal:
+    """The bracket ``W = yA yB' - yA' yB`` at ``x_to`` of the solutions of
+    two problems that share ``d``, started from ``init_a`` and ``init_b``
+    (each ``(y, y')``) at ``x_from < x_to``, with the scale
+    ``exp(2 mu (x_to - x_from))`` factored out.
 
-        W_ij(x_to) - W_ij(x_from),   W_ij = yA_i yB_j' - yA_i' yB_j,
+    Between two nearby problems ``W`` is exponentially smaller than its
+    factors, so it is not formed from the end states.  It is summed from
+    its value at the start, the integral of ``W' = (qB - qA) yA yB`` over
+    the :func:`_gauss_nodes` of one walk of both problems, and its jump at
+    ``d``, each term at the scale of the result.  A term more than
+    ``350 / mu`` before ``x_to`` weighs less than ``exp(-700)``, so the walk
+    crosses that stretch without reads and the sum starts at its end.
+    """
 
-    which satisfies ``W' = (qB - qA) yA yB`` away from ``d`` plus the jump
-    contribution at ``d``.  Returns one :class:`ScaledVal` per pair, with
-    the scale ``exp(2 mu (x_to - x_from))`` factored out, i.e. already
-    normalized the way ray-decay diagnostics need them.  Requires ``d`` to
-    coincide (forward direction only)."""
-
-    if abs(prob_a.d - prob_b.d) > 1e-12:
-        raise ValueError("paired problems must share the discontinuity point")
     if not x_to > x_from:
         raise ValueError("pair_integrals integrates left to right")
     mu = growth_rate(lam)
-    na = init_a.shape[0]
-    nb = init_b.shape[0]
-    npair = len(pairs)
-    qa_x = prob_a.q
-    qb_x = prob_b.q
     d = prob_a.d
-    pts = [d] + qa_x.breakpoints() + qb_x.breakpoints()
-    path = _ordered_breaks(x_from, x_to, pts)
-    ia = np.array([p[0] for p in pairs], dtype=int)
-    ib = np.array([p[1] for p in pairs], dtype=int)
-
-    za = np.asarray(init_a, dtype=complex).reshape(na, 2).copy()
-    zb = np.asarray(init_b, dtype=complex).reshape(nb, 2).copy()
-    acc = np.zeros(npair, dtype=complex)
-
-    def bracket(za_, zb_):
-        return za_[ia, 0] * zb_[ib, 1] - za_[ia, 1] * zb_[ib, 0]
-
-    for lo, hi in zip(path, path[1:]):
-        qa = qa_x.piece_fn(lo, hi)
-        qb = qb_x.piece_fn(lo, hi)
-
-        def rhs(x, flat, qa=qa, qb=qb):
-            za_ = flat[: 2 * na].reshape(na, 2)
-            zb_ = flat[2 * na : 2 * na + 2 * nb].reshape(nb, 2)
-            qav = qa(x)
-            qbv = qb(x)
-            out = np.empty_like(flat)
-            oa = out[: 2 * na].reshape(na, 2)
-            ob = out[2 * na : 2 * na + 2 * nb].reshape(nb, 2)
-            oa[:, 0] = za_[:, 1] - mu * za_[:, 0]
-            oa[:, 1] = (qav - lam) * za_[:, 0] - mu * za_[:, 1]
-            ob[:, 0] = zb_[:, 1] - mu * zb_[:, 0]
-            ob[:, 1] = (qbv - lam) * zb_[:, 0] - mu * zb_[:, 1]
-            weight = math.exp(-2.0 * mu * (x_to - x)) if mu * (x_to - x) < 350 else 0.0
-            out[2 * na + 2 * nb :] = (
-                (qbv - qav) * weight * za_[ia, 0] * zb_[ib, 0]
-            )
-            return out
-
-        flat = np.concatenate([za.ravel(), zb.ravel(), acc])
-        flat = _integrate(rhs, lo, hi, flat, tol).y[:, -1]
-        za = flat[: 2 * na].reshape(na, 2).copy()
-        zb = flat[2 * na : 2 * na + 2 * nb].reshape(nb, 2).copy()
-        acc = flat[2 * na + 2 * nb :].copy()
-        if abs(hi - d) < 1e-12 and abs(hi - x_to) > 1e-12:
-            before = bracket(za, zb)
-            za = jump_forward(za, prob_a.beta, prob_a.gamma)
-            zb = jump_forward(zb, prob_b.beta, prob_b.gamma)
-            after = bracket(za, zb)
-            weight = math.exp(-2.0 * mu * (x_to - d)) if mu * (x_to - d) < 350 else 0.0
-            acc = acc + (after - before) * weight
-    log_end = 2.0 * mu * (x_to - x_from)
-    return [ScaledVal(complex(v), log_end) for v in acc]
+    problems = [prob_a, prob_b]
+    z = np.array([init_a, init_b], dtype=complex).reshape(2, 1, 2)
+    start = x_from if mu * (x_to - x_from) <= 350.0 else x_to - 350.0 / mu
+    if start > x_from:
+        # d listed twice reads the state after the matching
+        cut = [start, start] if abs(start - d) <= 1e-12 else [start]
+        z = _walk(problems, [lam], z, x_from, cut, tol=tol)[0][-1]
+    x, w = _gauss_nodes(lam, start, x_to, [d] + prob_a.q.breakpoints() + prob_b.q.breakpoints())
+    k = int(np.searchsorted(x, d))
+    crosses = start + 1e-12 < d < x_to - 1e-12
+    if crosses:  # d read twice, with no quadrature weight
+        x, w = np.insert(x, k, [d, d]), np.insert(w, k, [0.0, 0.0])
+    states = _walk(problems, [lam], z, start, x, tol=tol)[0][:, :, 0]
+    ya, yb = states[:, 0], states[:, 1]
+    f = (prob_b.q(x) - prob_a.q(x)) * ya[:, 0] * yb[:, 0]
+    total = w @ (f * np.exp(-2.0 * mu * (x_to - x)))
+    total += _bracket(z[0, 0], z[1, 0]) * math.exp(-2.0 * mu * (x_to - start))
+    if crosses:
+        jump = _bracket(ya[k + 1], yb[k + 1]) - _bracket(ya[k], yb[k])
+        total += jump * math.exp(-2.0 * mu * (x_to - d))
+    return ScaledVal(complex(total), 2.0 * mu * (x_to - x_from))

@@ -18,6 +18,7 @@ from sturmdisc.charfn import _deltas, char_delta, delta_consistency, f_function
 from sturmdisc.expr import PotentialExpr
 from sturmdisc.norming import compute_norming
 from sturmdisc.ode import (
+    BRACKET_TOL,
     TOL,
     ScaledVal,
     growth_rate,
@@ -357,11 +358,53 @@ class TestDerivativeChain:
         assert start[2, 0] == 0 and start[2, 1] == 0
 
 
+def wronskian_scale(lam, ya, yb):
+    """``s A(ya) A(yb)``, the scale of the bracket of two ``(y, y')``
+    states, with ``A(y) = sqrt(|y|^2 + |y'/s|^2)`` and ``s =
+    sqrt(max(|lam|, 1))``; the scale ``delta_consistency`` uses."""
+
+    s = math.sqrt(max(abs(lam), 1.0))
+    return s * math.hypot(abs(ya[0]), abs(ya[1]) / s) * math.hypot(abs(yb[0]), abs(yb[1]) / s)
+
+
+def complex_in(lo, hi):
+    return st.builds(complex, st.floats(lo, hi), st.floats(lo, hi))
+
+
+@st.composite
+def pair_setups(draw):
+    """Two problems that share ``d``, each with its own ``q = a cos kx + c``,
+    ``h``, ``beta`` and ``gamma``, complex start data at ``x_from < d <
+    x_to`` and a lambda."""
+
+    d = draw(st.floats(0.3, PI - 0.3))
+
+    def problem():
+        q = "%.4f * cos(%d * x) + %.4f" % (
+            draw(st.floats(-2.0, 2.0)), draw(st.integers(1, 4)), draw(st.floats(-2.0, 2.0))
+        )
+        return Problem(
+            q=PotentialExpr.parse(q),
+            h=draw(complex_in(-1.0, 1.0)),
+            beta=draw(st.floats(0.4, 3.0)),
+            gamma=draw(complex_in(-1.0, 1.0)),
+            d=d,
+        )
+
+    pa, pb = problem(), problem()
+    inits = [(draw(complex_in(-1.0, 1.0)), draw(complex_in(-1.0, 1.0))) for _ in range(2)]
+    assume(all(abs(y) + abs(dy) > 0.1 for y, dy in inits))
+    x_from = draw(st.floats(0.0, d - 0.05))
+    x_to = draw(st.floats(d + 0.05, PI))
+    lam = complex(draw(st.floats(-10.0, 200.0)), draw(st.floats(-8.0, 8.0)))
+    return pa, pb, inits, x_from, x_to, lam
+
+
 class TestPairIntegrals:
     def test_identical_problems_zero_bracket(self):
         p = Problem(q=PotentialExpr.parse("sin(x)"), h=0.1)
         init = np.array([[1.0, 0.1]], dtype=complex)
-        (integral,) = pair_integrals(p, p, 14.0, 0.0, 2.0, init, init, [(0, 0)])
+        integral = pair_integrals(p, p, 14.0, 0.0, 2.0, init, init)
         assert abs(integral.val) < 1e-12
 
     def test_accumulated_integral_matches_quadrature(self):
@@ -369,7 +412,7 @@ class TestPairIntegrals:
         pb = Problem(q=PotentialExpr.parse("1"))
         lam = 5.0
         init = np.array([[1.0, 0.0]], dtype=complex)
-        (integral,) = pair_integrals(pa, pb, lam, 0.0, 1.2, init, init, [(0, 0)])
+        integral = pair_integrals(pa, pb, lam, 0.0, 1.2, init, init)
         # direct quadrature of (qB - qA) * yA * yB with explicit solutions
         xs = np.linspace(0.0, 1.2, 2001)
         sa, _ = solve_chain(pa, lam, xs, x_from=0.0, init=init)
@@ -377,6 +420,28 @@ class TestPairIntegrals:
         vals = sa[:, 0, 0] * sb[:, 0, 0]
         want = np.trapezoid(vals, xs)
         assert integral.value == pytest.approx(want, rel=1e-6)
+
+    def test_problems_must_share_d(self):
+        pa, pb = Problem(q="0", d=1.0), Problem(q="0", d=1.2)
+        with pytest.raises(ValueError, match="share"):
+            pair_integrals(pa, pb, 5.0, 0.0, 2.0, (1.0, 0.0), (1.0, 0.0))
+
+    @given(pair_setups())
+    @settings(max_examples=40, deadline=None)
+    def test_bracket_of_end_states(self, setup):
+        # distinct beta and gamma give W a jump at d
+        pa, pb, (init_a, init_b), x_from, x_to, lam = setup
+        got = pair_integrals(pa, pb, lam, x_from, x_to, init_a, init_b, tol=BRACKET_TOL)
+        (za,), (log,) = solve_chain(pa, lam, [x_to], x_from=x_from, init=init_a, tol=BRACKET_TOL)
+        (zb,), _ = solve_chain(pb, lam, [x_to], x_from=x_from, init=init_b, tol=BRACKET_TOL)
+        # both at the scale exp(2 mu (x_to - x_from))
+        assert got.log == pytest.approx(2 * log, rel=1e-14)
+        want = za[0, 0] * zb[0, 1] - za[0, 1] * zb[0, 0]
+        scale = max(
+            wronskian_scale(lam, za[0], zb[0]),
+            wronskian_scale(lam, init_a, init_b) * math.exp(-2 * log),
+        )
+        assert abs(got.val - want) < 1e-10 * scale
 
 
 class TestAccuracyArgument:

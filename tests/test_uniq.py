@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_charfn import consistency_setups
+from test_ode import complex_in, wronskian_scale
 
 from sturmdisc import charfn, uniq
 from sturmdisc.charfn import char_delta, f_bracket_ray, f_function
 from sturmdisc.expr import PotentialExpr
-from sturmdisc.ode import solve_chain
+from sturmdisc.ode import BRACKET_TOL, solve_chain
 from sturmdisc.problem import Problem
 from sturmdisc.spectrum import ZeroSequence
 from sturmdisc.uniq import (
@@ -113,6 +117,26 @@ class TestCollapsedEvaluation:
         # one chain per problem and lambda, shared by both forms of F
         assert len(calls) == 2 * len(lams)
         assert list(rep.rels) == want
+
+    @given(
+        consistency_setups(),
+        st.sampled_from([-1, 0, 1]),
+        st.floats(0.05, 0.25),
+        st.integers(0, 2),
+        complex_in(-1.0, 1.0),
+        complex_in(-0.5, 0.5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_ray_route_matches_collapsed_bracket(self, setup, side, gap, m, weight, dh):
+        # b to the left of, at, and to the right of the discontinuity
+        p, lam = setup
+        b = p.d + side * gap
+        pb = modify_below(p, b, m=m, weight=weight, dh=dh)
+        diff = f_bracket_ray(p, pb, b, lam) - f_function(p, pb, lam, at=b).F
+        (za,), (log,) = solve_chain(p, lam, [b], tol=BRACKET_TOL)
+        (zb,), _ = solve_chain(pb, lam, [b], tol=BRACKET_TOL)
+        # relative to the Wronskian scale of phi and phi~ at b
+        assert math.exp(diff.log_abs - 2 * log) < 1e-10 * wronskian_scale(lam, za[0], zb[0])
 
     def test_default_grid(self):
         p = Problem(q=PotentialExpr.parse("0"), h=0.1)
