@@ -24,11 +24,11 @@ One private segment walker (``_walk``) advances a batch of lambda, for one
 problem or several that share ``d``, through the pieces of ``q`` and the
 jump at ``d`` and returns the states at the points it is asked for.
 :func:`solve_many` runs it on a batch and reads the far end only;
-:func:`solve_chain` runs it on one lambda and reads a list of points (the
-Wronskian's grid, ``b``, ``d-0``, ``d+0`` and ``pi`` for the bracket ``F``,
-the quadrature nodes of the norming integrals).  A point inside a segment
-costs that segment a DOP853 interpolant, three extra RHS stages per step; a
-point at a segment end costs nothing.
+:func:`solve_chain` runs it on one lambda and reads a list of points
+(``b``, ``d-0``, ``d+0`` and ``pi`` for the bracket ``F``, the quadrature
+nodes of the norming integrals).  A point inside a segment costs that
+segment a DOP853 interpolant, three extra RHS stages per step; a point at a
+segment end costs nothing.
 
 The bracket ``y*z' - y'*z`` of solutions of two nearby problems is
 exponentially smaller than its factors, so :func:`pair_integrals` does not
@@ -366,16 +366,22 @@ def wronskian_check(
     an end-to-end consistency check of the integrator.  Being a bracket, it
     runs at ``BRACKET_TOL`` by default: the deviation grows like ``tol``
     times ``exp(2 |Im sqrt(lam)| (x0 - r))``.
+
+    Both solutions are walked together, one walk per grid interval, so each
+    sample is an integrated state: a DOP853 interpolant read inside a
+    segment put up to 1.5e-9 into the bracket at ``tol = 1e-13``, where the
+    integrated states stay below 4e-11 (203 problems, ``Re lam`` in
+    ``[1, 60]``, ``|Im lam| <= 8``).
     """
 
     xs = np.linspace(r, x0, n_samples)
-    (s1, logs), (s2, _) = (
-        solve_chain(problem, lam, xs, x_from=r, init=init, tol=tol)
-        for init in ((1.0, 0.0), (0.0, 1.0))
-    )
-    worst = 0.0
-    for z1, z2, log in zip(s1[:, 0], s2[:, 0], logs):
-        w = z1[0] * z2[1] - z1[1] * z2[0]
+    z = np.array([[[1.0, 0.0]], [[0.0, 1.0]]], dtype=complex)
+    log, worst = 0.0, 0.0
+    for lo, hi in zip(xs, xs[1:]):
+        at = [hi, hi] if abs(hi - problem.d) <= 1e-12 else [hi]  # go on past d
+        states, logs = _walk([problem], [lam, lam], z, lo, at, tol=tol)
+        z, log = states[-1], log + logs[-1, 0]
+        w = z[0, 0, 0] * z[1, 0, 1] - z[0, 0, 1] * z[1, 0, 0]
         worst = max(worst, abs(w * math.exp(2 * log) - 1.0))
     return float(worst)
 

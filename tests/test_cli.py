@@ -274,12 +274,6 @@ class TestValidationErrors:
             ("spectrum", {"problem": "a", "modulus_bound": -5}, "$.spectrum.modulus_bound"),
             ("norming", {"problem": "a", "modulus_bound": 0}, "$.norming.modulus_bound"),
             ("product", {"problem": "a", "modulus_bound": -1}, "$.product.modulus_bound"),
-            ("spectrum", {"problem": "a", "modulus_bound": 5, "im_halfwidth": -5},
-             "$.spectrum.im_halfwidth"),
-            ("norming", {"problem": "a", "modulus_bound": 5, "im_halfwidth": -1},
-             "$.norming.im_halfwidth"),
-            ("product", {"problem": "a", "modulus_bound": 5, "im_halfwidth": -0.5},
-             "$.product.im_halfwidth"),
             ("growth", {"problem": "a", "per_decade": 0}, "$.growth.per_decade"),
             ("growth", {"problem": "a", "y_lo": 100, "y_hi": 1000, "per_decade": 1},
              "$.growth.per_decade"),
@@ -299,6 +293,12 @@ class TestValidationErrors:
              "$.uniq.b"),
             ("uniq", {"mode": "ratio", "problem_a": "a", "problem_b": "b", "b": 4.0},
              "$.uniq.b"),
+            ("spectrum", {"problem": "a", "modulus_bound": 5, "im_halfwidth": -5},
+             "$.spectrum.im_halfwidth"),
+            ("norming", {"problem": "a", "modulus_bound": 5, "im_halfwidth": -1},
+             "$.norming.im_halfwidth"),
+            ("product", {"problem": "a", "modulus_bound": 5, "im_halfwidth": -0.5},
+             "$.product.im_halfwidth"),
         ],
     )
     def test_out_of_range_field(self, tmp_path, capsys, monkeypatch, command, section, path):

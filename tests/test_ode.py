@@ -192,13 +192,23 @@ class TestWronskian:
         assert y2[0, 0] == pytest.approx(0.0)
         assert y2[0, 1] == pytest.approx(1.0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the bracket drifts 1.46e-9 from 1 at small Re lam and large Im lam",
-    )
     def test_small_real_part_corner(self):
+        # read from DOP853 interpolants, the grid's samples drifted 1.46e-9
         p = Problem(q="0", beta=2.0, d=1.3)
         assert wronskian_check(p, 1 + 8j, tol=1e-13) < 1e-9
+
+    def test_matching_at_a_grid_point(self, monkeypatch):
+        # d = pi/2 is the fourth point of the 7-point grid on [0, pi]
+        betas = []
+
+        def counted(state, beta, gamma):
+            betas.append(beta)
+            return jump_forward(state, beta, gamma)
+
+        monkeypatch.setattr("sturmdisc.ode.jump_forward", counted)
+        p = Problem(q="cos(x)", beta=2.0, gamma=0.5j, d=math.pi / 2)
+        assert wronskian_check(p, 20 + 3j) < 1e-9
+        assert betas == [2.0]
 
 
 class TestOneWalker:
