@@ -5,17 +5,18 @@ number of its boundary values is exact once the boundary sampling resolves
 the phase (every step below pi/2).  A search runs in three phases:
 
 1. The strip is sliced and rectangles are subdivided until each leaf holds
-   an isolated cluster; this counting pass uses relaxed integrator
-   tolerances and batched solves (:func:`delta_many`).
-2. Newton rounds polish one start point of every unresolved leaf together:
-   each round integrates the chain ``(phi, d phi/d lam)`` for all of them
-   in one vectorized solve per tolerance level, so the derivative is exact
-   and no interpolant is built.  Each lambda stops on its own rules.
-3. A root is accepted when it lies in its leaf and is new; in a leaf that
-   holds more than one zero a small-circle winding count gives its
-   algebraic multiplicity, and multiple roots get a second, step-scaled
-   polish.  Leaves still unresolved after all start points are split and
-   go back to phase 2.
+   one zero, or a multiple zero or tight cluster at the size floor; this
+   counting pass uses relaxed integrator tolerances and batched solves
+   (:func:`delta_many`).
+2. Newton rounds polish the centre of every unresolved leaf together: each
+   round integrates the chain ``(phi, d phi/d lam)`` for all of them in one
+   vectorized solve per tolerance level, so the derivative is exact and no
+   interpolant is built.  Each lambda stops on its own rules.
+3. A root is accepted when it lies in its leaf and is new.  A leaf that
+   holds one zero pins its order; in a leaf at the size floor that holds
+   more, a small-circle winding count gives the algebraic multiplicity, and
+   multiple roots get a second, step-scaled polish.  A leaf still
+   unresolved after its round is split and goes back to phase 2.
 """
 
 from __future__ import annotations
@@ -277,7 +278,7 @@ def _polish(problem: Problem, starts, mults=None, *, maxit: int = 60):
 
 @dataclass(eq=False)
 class _Leaf:
-    """A search rectangle whose winding count is small enough for Newton."""
+    """A search rectangle that holds one zero, or a cluster at the size floor."""
 
     rect: tuple
     count: int
@@ -290,16 +291,14 @@ class _Leaf:
             and im_lo - margin <= z.imag <= im_hi + margin
         )
 
-    def start(self, k: int) -> complex:
-        """The ``k``-th Newton start point."""
+    def centre(self) -> complex:
+        """The Newton start point."""
 
         re_lo, re_hi, im_lo, im_hi = self.rect
-        fx, fy = _START_FRACTIONS[k]
-        return complex(re_lo + fx * (re_hi - re_lo), im_lo + fy * (im_hi - im_lo))
+        return complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
 
 
-_START_FRACTIONS = ((0.5, 0.5), (0.3, 0.3), (0.7, 0.62))
-_LEAF_SIZE = 2.0  # rectangles this small are not split further
+_LEAF_SIZE = 2.0  # rectangles this small are leaves, whatever their count
 _COUNT_TOL = 3e-7  # integrator tolerance of the winding counts
 
 
@@ -316,15 +315,19 @@ def find_eigenvalues(
     min(im_halfwidth, B + 1)``; eigenvalues of the problems treated here lie
     in a horizontal strip, but one outside the strip (large complex ``h``,
     ``H`` or ``gamma`` can put one there) is not found and not reported.
-    Inside the box the total leaf count is reconciled against the
-    outer-rectangle winding count, so dropped or doubled roots are detected
-    rather than silently returned.
+    Each leaf of the subdivision holds one zero, and Newton starts from the
+    centres of the unresolved leaves.  Inside the box the total leaf count
+    is reconciled against the outer-rectangle winding count, so dropped or
+    doubled roots are detected rather than silently returned.
     """
 
     B = float(modulus_bound)
     cache = _Cache(_problem_batch(problem, _COUNT_TOL))
     c = min(im_halfwidth, B + 1.0)
-    outer = (-B - 0.372, B + 0.413, -c - 0.0931, c + 0.1043)
+    # the midline, where a slice is first cut across, lies 0.3056 above the
+    # real axis: between two samples 20 times its distance apart or more,
+    # the 2 pi phase turn of a real double zero aliases to nothing
+    outer = (-B - 0.372, B + 0.413, -c - 0.0931, c + 0.7043)
 
     for attempt in range(4):
         try:
@@ -404,7 +407,7 @@ def find_eigenvalues(
         if count == 0:
             return
         w, hgt = rect[1] - rect[0], rect[3] - rect[2]
-        if count <= 3 or max(w, hgt) <= _LEAF_SIZE or depth > 40:
+        if count == 1 or max(w, hgt) <= _LEAF_SIZE:
             pending.append(_Leaf(rect, count, depth))
             return
         for half, cnt in split(rect, count):
@@ -446,29 +449,23 @@ def find_eigenvalues(
         roots.append(root)
         return root if mult > 1 else None
 
-    # Every Newton round polishes one start of each unresolved leaf in one
-    # batched solve; leaves still unresolved after all starts are split.
+    # Every Newton round polishes the centre of each unresolved leaf in one
+    # batched solve; a leaf still unresolved after its round is split.
     while pending:
-        for k in range(len(_START_FRACTIONS)):
-            todo = [leaf for leaf in pending if found(leaf) < leaf.count]
-            if not todo:
-                break
-            lams, residuals = _polish(problem, [leaf.start(k) for leaf in todo])
-            multiple = []
-            for leaf, lam, residual in zip(todo, lams, residuals):
-                if found(leaf) < leaf.count:
-                    root = accept(leaf, lam, residual)
-                    if root is not None:
-                        multiple.append(root)
-            if multiple:
-                lams, _ = _polish(
-                    problem,
-                    [r[0] for r in multiple],
-                    [r[1] for r in multiple],
-                    maxit=10,
-                )
-                for root, lam in zip(multiple, lams):
-                    root[0] = lam
+        todo = [leaf for leaf in pending if found(leaf) < leaf.count]
+        lams, residuals = _polish(problem, [leaf.centre() for leaf in todo])
+        multiple = []
+        for leaf, lam, residual in zip(todo, lams, residuals):
+            if found(leaf) < leaf.count:
+                root = accept(leaf, lam, residual)
+                if root is not None:
+                    multiple.append(root)
+        if multiple:
+            lams, _ = _polish(
+                problem, [r[0] for r in multiple], [r[1] for r in multiple], maxit=10
+            )
+            for root, lam in zip(multiple, lams):
+                root[0] = lam
         unresolved = [leaf for leaf in pending if found(leaf) != leaf.count]
         pending = []
         for leaf in unresolved:

@@ -5,14 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from test_charfn import consistency_setups
 
 from sturmdisc import spectrum
 from sturmdisc.charfn import char_delta
 from sturmdisc.expr import PotentialExpr
+from sturmdisc.norming import check_identity
 from sturmdisc.problem import Problem
 from sturmdisc.spectrum import (
+    ZeroOnContour,
     ZeroSequence,
     _polish,
     count_zeros,
@@ -26,6 +29,20 @@ PI = math.pi
 
 def free(**kw):
     return Problem(q=PotentialExpr.parse("0"), **kw)
+
+
+def newton_batch_sizes(monkeypatch):
+    """The lambda count of every ``solve_many`` call the search makes."""
+
+    sizes = []
+    solve_many = spectrum.solve_many
+
+    def counting(problem, lams, **kw):
+        sizes.append(np.size(lams))
+        return solve_many(problem, lams, **kw)
+
+    monkeypatch.setattr(spectrum, "solve_many", counting)
+    return sizes
 
 
 class TestWindingCounts:
@@ -87,14 +104,7 @@ class TestClassicalSpectra:
             assert abs(got - expect) < 1e-8
 
     def test_root_near_zero_has_its_own_slice(self, monkeypatch):
-        sizes = []
-        solve_many = spectrum.solve_many
-
-        def counting(problem, lams, **kw):
-            sizes.append(np.size(lams))
-            return solve_many(problem, lams, **kw)
-
-        monkeypatch.setattr(spectrum, "solve_many", counting)
+        sizes = newton_batch_sizes(monkeypatch)
         records = find_eigenvalues(Problem(q=PotentialExpr.parse("0.01")), 370.0)
         # a Newton walk from the middle of [-370, 0] to the root near 0
         # would be about 45 solves that no other leaf shares
@@ -159,6 +169,41 @@ class TestComplexPotential:
             # relative smallness of delta at the root
             scale = char_delta(p, r.lam + 0.5).delta.log_abs
             assert s.delta.log_abs - scale < math.log(1e-7)
+
+    def test_two_roots_of_one_slice_need_no_lone_newton_walk(self, monkeypatch):
+        # the problem of acceptance criterion 04; the roots 1.721 + 0.098i and
+        # 4.803 + 0.112i share one sqrt-spaced slice, and a Newton walk from
+        # its middle took 46 solves that no other leaf shared
+        sizes = newton_batch_sizes(monkeypatch)
+        p = Problem(
+            q=PotentialExpr.parse("sin(x) + 0.2i*cos(2*x)"),
+            h=0.3,
+            H=0.1,
+            beta=1.5,
+            gamma=0.2j,
+        )
+        records = find_eigenvalues(p, 62.0, im_halfwidth=12.0)
+        assert sizes.count(1) <= 4
+        assert len(records) >= 8
+        for r in records:
+            assert max(check_identity(p, r)) < 1e-6
+
+
+class TestDiscContract:
+    @given(consistency_setups())
+    @settings(max_examples=8, deadline=None)
+    def test_circle_winding_equals_returned_multiplicities(self, setup):
+        problem, _ = setup
+        B = 40.0
+        # the default box reaches |Im lam| = B + 1 < im_halfwidth = 50, so it
+        # covers the whole disc |lam| < B
+        f = spectrum._problem_batch(problem, spectrum._COUNT_TOL)
+        try:
+            winding = multiplicity_probe(f, 0.0, B, check_shrink=False)
+        except ZeroOnContour:
+            reject()
+        records = find_eigenvalues(problem, B)
+        assert sum(r.multiplicity for r in records) == winding
 
 
 class TestZeroSequence:
@@ -248,19 +293,34 @@ class TestBatchedPolish:
             assert abs(lam - scalar_newton(p, start, mult=2, maxit=10)) < 1e-6
 
 
+def assert_double_root_among_simple_ones(records):
+    by_mult = {}
+    for r in records:
+        by_mult.setdefault(r.multiplicity, []).append(r.lam)
+    assert sorted(by_mult) == [1, 2]
+    (double,) = by_mult[2]
+    assert abs(double - 4.0) < 1e-6
+    simple = sorted(by_mult[1], key=lambda z: z.real)
+    assert len(simple) == 4
+    for lam, want in zip(simple, (1.0, 9.0, 16.0, 25.0)):
+        assert abs(lam - want) < 1e-8
+
+
 class TestMultipleEigenvalue:
     def test_double_root_among_simple_ones(self):
-        records = find_eigenvalues(free(h=2j, H=-2j), 30.0)
-        by_mult = {}
-        for r in records:
-            by_mult.setdefault(r.multiplicity, []).append(r.lam)
-        assert sorted(by_mult) == [1, 2]
-        (double,) = by_mult[2]
-        assert abs(double - 4.0) < 1e-6
-        simple = sorted(by_mult[1], key=lambda z: z.real)
-        assert len(simple) == 4
-        for lam, want in zip(simple, (1.0, 9.0, 16.0, 25.0)):
-            assert abs(lam - want) < 1e-8
+        assert_double_root_among_simple_ones(find_eigenvalues(free(h=2j, H=-2j), 30.0))
+
+    def test_double_root_when_every_slice_is_split(self, monkeypatch):
+        # a leaf at depth 0 (a slice) that contains no point owns no root,
+        # so every slice is split, and the box midline passes the double
+        # zero 4 on the real axis
+        contains = spectrum._Leaf.contains
+        monkeypatch.setattr(
+            spectrum._Leaf,
+            "contains",
+            lambda leaf, z, margin: leaf.depth > 0 and contains(leaf, z, margin),
+        )
+        assert_double_root_among_simple_ones(find_eigenvalues(free(h=2j, H=-2j), 30.0))
 
 
 class TestSearchBox:
