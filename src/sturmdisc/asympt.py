@@ -24,6 +24,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import make_interp_spline
 
+from .entire import _ray_lstsq, ray_points
 from .expr import PotentialExpr, as_polynomial
 from .ode import BRACKET_TOL, pair_integrals
 from .problem import Problem
@@ -49,14 +50,14 @@ def nu_kernel(j: int, x, lam: complex):
 
 
 class _PolyBackend:
+    """Exact polynomial coefficient functions; ``+`` and ``*`` by a constant
+    act on both backends' representations directly."""
+
     def __init__(self, qpoly):
         self.q = qpoly
 
     def from_q_deriv(self, k):
-        return self.q.deriv(k) if k else self.q
-
-    def mul_q(self, f):
-        return self.q * f
+        return self.deriv(self.q, k) if k else self.q
 
     def deriv(self, f, k=1):
         return f.deriv(k)
@@ -67,25 +68,16 @@ class _PolyBackend:
     def at(self, f, x):
         return f(x)
 
-    def scale(self, f, c):
-        return f * c
-
-    def add(self, f, g):
-        return f + g
-
     def const(self, c):
         return np.polynomial.Polynomial([c])
 
 
-class _GridBackend:
+class _GridBackend(_PolyBackend):
     """Values on a fixed fine grid with B-spline calculus in between."""
 
     def __init__(self, qfn, xs):
         self.xs = xs
-        self.q = self._wrap(np.asarray(qfn(xs), dtype=complex))
-
-    def _wrap(self, vals):
-        return np.asarray(vals, dtype=complex)
+        self.q = np.asarray(qfn(xs), dtype=complex)
 
     def _spline(self, vals):
         k = 5 if len(self.xs) > 6 else 3
@@ -93,19 +85,13 @@ class _GridBackend:
         im = make_interp_spline(self.xs, vals.imag, k=k)
         return re, im
 
-    def from_q_deriv(self, k):
-        return self.deriv(self.q, k) if k else self.q
-
-    def mul_q(self, f):
-        return self.q * f
-
     def deriv(self, f, k=1):
         re, im = self._spline(f)
-        return self._wrap(re.derivative(k)(self.xs) + 1j * im.derivative(k)(self.xs))
+        return re.derivative(k)(self.xs) + 1j * im.derivative(k)(self.xs)
 
     def integ0(self, f):
         re, im = self._spline(f)
-        return self._wrap(
+        return (
             re.antiderivative()(self.xs)
             - re.antiderivative()(self.xs[0])
             + 1j * (im.antiderivative()(self.xs) - im.antiderivative()(self.xs[0]))
@@ -114,12 +100,6 @@ class _GridBackend:
     def at(self, f, x):
         re, im = self._spline(f)
         return complex(re(x) + 1j * im(x))
-
-    def scale(self, f, c):
-        return f * c
-
-    def add(self, f, g):
-        return f + g
 
     def const(self, c):
         return np.full_like(self.xs, c, dtype=complex)
@@ -179,62 +159,54 @@ def build_expansion(q, m: int) -> ExpansionTable:
         path = "grid"
 
     B = backend
-    sigma = B.integ0(B.from_q_deriv(0))
+    sigma = B.integ0(B.q)
     f: dict = {}
     pmax = m + 2
     for j in range(1, pmax + 1):
         # f_{1,j} needs sigma^{(j-1)}, i.e. q^{(j-2)} for j >= 2
-        if j == 1:
-            rep = sigma
-            rep0 = B.at(sigma, 0.0)
-        else:
-            rep = B.from_q_deriv(j - 2)
-            rep0 = B.at(rep, 0.0)
-        sign = term_sign(j)
+        rep = sigma if j == 1 else B.from_q_deriv(j - 2)
         parity = -((-1.0) ** (j - 1))  # the -(-1)^(j-1) offset weight
-        f[(1, j)] = B.scale(B.add(rep, B.const(parity * rep0)), sign)
+        f[(1, j)] = (rep + B.const(parity * B.at(rep, 0.0))) * term_sign(j)
     for p in range(2, pmax + 1):
-        f[(p, p)] = B.scale(B.integ0(B.mul_q(f[(p - 1, p - 1)])), (-1.0) ** p)
+        f[(p, p)] = B.integ0(B.q * f[(p - 1, p - 1)]) * (-1.0) ** p
         for j in range(p + 1, pmax + 1):
-            total = B.scale(B.integ0(B.mul_q(f[(p - 1, j - 1)])), (-1.0) ** j)
+            total = B.integ0(B.q * f[(p - 1, j - 1)]) * (-1.0) ** j
             for s in range(max(1, p - 1), j - 1):
-                base = B.deriv(B.mul_q(f[(p - 1, s)]), j - s - 2) if j - s - 2 else B.mul_q(
-                    f[(p - 1, s)]
-                )
+                base = B.q * f[(p - 1, s)]
+                if j - s - 2:
+                    base = B.deriv(base, j - s - 2)
                 base0 = B.at(base, 0.0)
-                contrib = B.scale(
-                    B.add(base, B.const(-((-1.0) ** (j - 1)) * base0)),
-                    -term_sign(s) * term_sign(j),
+                total = total + (base + B.const(-((-1.0) ** (j - 1)) * base0)) * (
+                    -term_sign(s) * term_sign(j)
                 )
-                total = B.add(total, contrib)
             f[(p, j)] = total
 
     a: dict = {}
     for j in range(1, m + 2):
         rep = B.const(0.0)
         for p in range(1, min(j, pmax) + 1):
-            rep = B.add(rep, f[(p, j)])
+            rep = rep + f[(p, j)]
         a[j] = rep
     rep = B.const(0.0)
     for p in range(2, pmax + 1):
-        rep = B.add(rep, f[(p, m + 2)])
+        rep = rep + f[(p, m + 2)]
     a[m + 2] = rep
 
     b: dict = {}
-    b[0] = B.scale(f[(1, 1)], -0.5)
+    b[0] = f[(1, 1)] * -0.5
     for j in range(1, m + 1):
         rep = B.const(0.0)
         for p in range(1, pmax + 1):
             if (p, j) in f:
-                rep = B.add(rep, B.deriv(f[(p, j)]))
+                rep = rep + B.deriv(f[(p, j)])
             if (p, j + 1) in f:
-                rep = B.add(rep, B.scale(f[(p, j + 1)], 0.5 * (-1.0) ** (j + 1)))
+                rep = rep + f[(p, j + 1)] * (0.5 * (-1.0) ** (j + 1))
         b[j] = rep
     rep = B.const(0.0)
     for p in range(2, pmax + 1):
         if (p, m + 1) in f:
-            rep = B.add(rep, B.deriv(f[(p, m + 1)]))
-        rep = B.add(rep, B.scale(f[(p, m + 2)], 0.5 * (-1.0) ** (m + 2)))
+            rep = rep + B.deriv(f[(p, m + 1)])
+        rep = rep + f[(p, m + 2)] * (0.5 * (-1.0) ** (m + 2))
     b[m + 1] = rep
 
     return ExpansionTable(m=m, backend=B, f=f, a=a, b=b, path=path)
@@ -343,6 +315,31 @@ class DecayFit:
     floor_logs: np.ndarray
     claimed_exponent: float | None = None
     passes: bool | None = None
+    slope_stderr: float = math.nan
+
+
+def _decay_above_floor(prob_a, prob_b, r, x0, ys, vals, sine_members=0):
+    """The one decay rule of the pair probes: fit ``log|vals|`` against
+    ``log y`` over the points above the noise floor of a bracket summed over
+    ``[r, x0]`` at ``BRACKET_TOL``, ``30 BRACKET_TOL max|qB - qA| (x0 - r)``
+    times ``|lam|^(-1/2)`` per member started from ``(0, 1)``.  Fewer than 3
+    points above it give the slope ``-inf``: decay beyond resolution.
+
+    Returns ``(logs, floor_logs, used, coef, stderr)``, with ``coef`` and
+    ``stderr`` for the slope per ``log y`` and the intercept.
+    """
+
+    xs = np.linspace(r, x0, 257)
+    qdiff = np.max(np.abs(prob_b.q(xs) - prob_a.q(xs)))
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(vals))
+    floor = 30.0 * BRACKET_TOL * max(qdiff, 1e-30) * (x0 - r)
+    floors = math.log(floor) - 0.5 * sine_members * np.log(ys)
+    used = logs > floors
+    if used.sum() < 3:
+        return logs, floors, used, (-math.inf, math.nan), (math.nan, math.nan)
+    coef, stderr, _ = _ray_lstsq(ys[used], logs[used], ("log", "1"))
+    return logs, floors, used, coef, stderr
 
 
 def decay_order_fit(
@@ -358,12 +355,14 @@ def decay_order_fit(
     """Fit the ray decay exponent of ``W = yA_i ytB_j' - yA_i' ytB_j``.
 
     The fundamental solutions are normalized at ``r``; ``W`` is evaluated at
-    ``x0`` through its integral representation, normalized by the shared
-    growth ``exp(2 |Im sqrt(i y)| (x0 - r))``, and ``log`` of the result is
-    regressed against ``log |sqrt(i y)|``.  Points whose normalized
-    magnitude sits below the integrator noise floor are excluded (if all
-    are, the slope is reported as ``-inf``: decay beyond resolution, which
-    counts as a pass when a claimed order is supplied).
+    ``x0`` through its integral representation (one batched
+    :func:`~sturmdisc.ode.pair_integrals` call for all ``ys``), normalized
+    by the shared growth ``exp(2 |Im sqrt(i y)| (x0 - r))``, and ``log`` of
+    the result is regressed against ``log |sqrt(i y)|``.  Points whose
+    normalized magnitude sits below the integrator noise floor are excluded
+    (if fewer than 3 are left, the slope is reported as ``-inf``: decay
+    beyond resolution, which counts as a pass when a claimed order is
+    supplied).
 
     With ``m_claimed`` the fit carries a pass/fail verdict against the
     claimed exponent of the combination (``m+1`` for the cosine pair up to
@@ -373,39 +372,15 @@ def decay_order_fit(
     if isinstance(combo, str):
         combo = _COMBO_ALIASES[combo]
     combo = (int(combo[0]), int(combo[1]))
-    if ys is None:
-        ys = np.geomspace(1e2, 1e6, 9)
-    ys = np.asarray(ys, dtype=float)
+    ys = ray_points() if ys is None else np.asarray(ys, dtype=float)
     init = ((1.0, 0.0), (0.0, 1.0))
-    # scale of the accumulated integrand, for the noise floor
-    xs_probe = np.linspace(r, x0, 257)
-    qdiff = np.max(
-        np.abs(prob_b.q(xs_probe) - prob_a.q(xs_probe))
+    vals, _ = pair_integrals(prob_a, prob_b, 1j * ys, r, x0, init[combo[0] - 1],
+                             init[combo[1] - 1], tol=BRACKET_TOL)
+    logs, floors, used, coef, stderr = _decay_above_floor(
+        prob_a, prob_b, r, x0, ys, vals, (combo[0] == 2) + (combo[1] == 2)
     )
-    logs = np.empty(ys.size)
-    floors = np.empty(ys.size)
-    for k, y in enumerate(ys):
-        lam = 1j * y
-        scaled = pair_integrals(
-            prob_a, prob_b, lam, r, x0, init[combo[0] - 1], init[combo[1] - 1],
-            tol=BRACKET_TOL,
-        ).val
-        s_abs = math.sqrt(abs(lam))
-        amp = (1.0 / s_abs) ** ((combo[0] == 2) + (combo[1] == 2))
-        floor = 30.0 * BRACKET_TOL * max(qdiff, 1e-30) * (x0 - r) * amp
-        logs[k] = math.log(abs(scaled)) if scaled != 0 else -math.inf
-        floors[k] = math.log(floor)
+    slope = 2.0 * float(coef[0])  # per log |sqrt(iy)| = (log y) / 2
     claimed = None if m_claimed is None else m_claimed + _COMBO_ORDER[combo]
-    used = logs > floors
-    if used.sum() < 3:
-        # below measurement floor everywhere: decay beyond resolution
-        return DecayFit(
-            combo, -math.inf, math.nan, ys, logs, used, floors, claimed,
-            True if claimed is not None else None,
-        )
-    xfit = 0.5 * np.log(ys[used])  # log |sqrt(iy)|
-    coef = np.polyfit(xfit, logs[used], 1)
-    slope = float(coef[0])
     return DecayFit(
         combo=combo,
         slope=slope,
@@ -416,4 +391,5 @@ def decay_order_fit(
         floor_logs=floors,
         claimed_exponent=claimed,
         passes=None if claimed is None else slope <= -claimed + 0.3,
+        slope_stderr=2.0 * float(stderr[0]),
     )

@@ -16,10 +16,11 @@ The two-problem bracket ``F(lam) = phi(pi) phit'(pi) - phi'(pi) phit(pi)``
 is the basic closeness functional between a problem and a perturbed copy.
 When the potentials agree on ``[b, pi]`` (and ``d`` coincides) it collapses
 to the bracket at ``b`` (or at ``d+0`` for ``b = d``, or at ``b`` plus the
-jump difference for ``b < d``); along rays this is evaluated through the
-integral identity ``<phi, phit>' = -(q - qt) phi phit`` accumulated inside
-the ODE solve, which is the only numerically viable route once the scale
-``exp(2 |Im sqrt(lam)| b)`` dwarfs the value.
+jump difference for ``b < d``).  Along rays (:func:`f_bracket_ray`) it is
+summed from the integral identity ``<phi, phit>' = -(q - qt) phi phit`` by
+Gauss-Legendre quadrature over one walk of both chains, batched over the
+ray's lambda values, which is the only numerically viable route once the
+scale ``exp(2 |Im sqrt(lam)| b)`` dwarfs the value.
 """
 
 from __future__ import annotations
@@ -210,17 +211,16 @@ def _f_sample(reads: dict, d: float, lam: complex, at) -> FSample:
     return FSample(lam=lam, F=F, F1=F1, F2=F2, at=at)
 
 
-def f_bracket_ray(prob_a: Problem, prob_b: Problem, b: float, lam: complex) -> ScaledVal:
-    """``F(lam)`` through the accumulated integral identity
+def f_bracket_ray(prob_a: Problem, prob_b: Problem, b: float, lams):
+    """``F`` at a batch of lambda as ``(vals, logs)``, through the identity
 
         F = (h_b - h_a) + integral_0^b (qB - qA) phi phit dt + jump terms,
 
-    valid when the potentials agree on ``[b, pi]``.  This is the
-    cancellation-free route used on rays: every term is accumulated at the
-    scale of the result rather than at the (exponentially larger) scale of
-    the solutions themselves.
+    valid when the potentials agree on ``[b, pi]``: the cancellation-free
+    route used on rays, one :func:`~sturmdisc.ode.pair_integrals` walk of
+    both ``phi`` chains at ``BRACKET_TOL``.
     """
 
     return pair_integrals(
-        prob_a, prob_b, lam, 0.0, b, (1.0, prob_a.h), (1.0, prob_b.h), tol=BRACKET_TOL
+        prob_a, prob_b, lams, 0.0, b, (1.0, prob_a.h), (1.0, prob_b.h), tol=BRACKET_TOL
     )

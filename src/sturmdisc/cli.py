@@ -19,10 +19,11 @@ import numpy as np
 
 from . import __version__
 from .asympt import decay_order_fit
-from .charfn import char_delta, delta_consistency
+from .charfn import char_delta, delta_consistency, delta_many
 from .config import ConfigError, RunConfig, get_complex_list, get_int, get_real, load_config
 from .entire import doubling_check, fit_constant, growth_fit, ray_points
 from .norming import check_identity, compute_norming
+from .ode import TOL
 from .spectrum import ZeroSequence, find_eigenvalues
 from .uniq import collapse_consistency, bracket_decay_probe, product_ratio_probe
 
@@ -144,10 +145,9 @@ def _run_growth(cfg: RunConfig):
     ys = ray_points(y_lo, y_hi, per_decade) if per_decade > 0 else []
     _check(len(ys) >= 3, "$.growth.per_decade",
            f"gives {len(ys)} ray points; the growth fit needs at least 3")
-    logs = np.empty(ys.size)
-    for k, y in enumerate(ys):
-        s = char_delta(p, 1j * y)
-        logs[k] = (s.delta if target == "delta" else s.delta_inf).log_abs
+    # one batch at TOL / sqrt(n) keeps each point within a one-lambda solve's error
+    vals, vals_inf, scales = delta_many(p, 1j * ys, tol=TOL / math.sqrt(ys.size))
+    logs = np.log(np.abs(vals if target == "delta" else vals_inf)) + scales
     fit = growth_fit(ys, logs)
     preds = fit.c * np.sqrt(ys / 2.0) + fit.p * np.log(ys) + fit.const
     payload = {
@@ -182,6 +182,7 @@ def _run_asympt(cfg: RunConfig):
         "combination": "%d%d" % fit.combo,
         "claimed_exponent": fit.claimed_exponent,
         "fitted_slope": fit.slope,
+        "slope_stderr": fit.slope_stderr,
         "pass": bool(fit.passes),
         "points_used": int(fit.used.sum()),
     }
@@ -201,7 +202,8 @@ def _run_uniq(cfg: RunConfig):
         _check(m >= 0, "$.uniq.m", "must be non-negative")
         probe = bracket_decay_probe(pa, pb, b, m)
         ok = bool(probe.passes)
-        values = {"fitted_slope": probe.slope, "threshold": probe.threshold}
+        values = {"fitted_slope": probe.slope, "slope_stderr": probe.slope_stderr,
+                  "threshold": probe.threshold}
     elif mode == "collapse":
         tol = get_real(cfg.params, "tolerance", "$.uniq", default=1e-8)
         rep = collapse_consistency(pa, pb, b)
@@ -212,6 +214,7 @@ def _run_uniq(cfg: RunConfig):
         ok = rep.monotone_tail
         values = {
             "fitted_rate": rep.fitted_rate,
+            "rate_stderr": rep.rate_stderr,
             "expected_rate": rep.expected_rate,
             "monotone_tail": ok,
             "samples": [

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .expr import ExprError, PotentialExpr
+from .expr import PotentialExpr
 from .problem import Problem
 
 
@@ -47,9 +47,7 @@ def problem_from_config(spec, path: str) -> Problem:
         raise ConfigError(path + ".q", "missing potential expression")
     try:
         q = PotentialExpr.from_spec(spec["q"])
-    except ExprError as exc:
-        raise ConfigError(path + ".q", str(exc)) from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # ExprError is a ValueError
         raise ConfigError(path + ".q", str(exc)) from exc
     kwargs = {"q": q}
     if "h" in spec:
@@ -120,36 +118,32 @@ def load_config(path: str, command: str, fields) -> RunConfig:
     return RunConfig(command=command, problems=problems, params=params, raw=doc)
 
 
-def require(params: dict, key: str, path: str):
-    if key not in params:
+def _field(params: dict, key: str, path: str, default=None):
+    """``params[key]``; ``default`` when it is absent, unless that is ``None``."""
+
+    if key in params:
+        return params[key]
+    if default is None:
         raise ConfigError(f"{path}.{key}", "missing required field")
-    return params[key]
+    return default
 
 
 def get_real(params: dict, key: str, path: str, default=None) -> float:
-    if key not in params:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    value = params[key]
+    value = _field(params, key, path, default)
     if not _is_real(value):
         raise ConfigError(f"{path}.{key}", "expected a real number")
     return float(value)
 
 
 def get_int(params: dict, key: str, path: str, default=None) -> int:
-    if key not in params:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    value = params[key]
+    value = _field(params, key, path, default)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}", "expected an integer")
     return value
 
 
 def get_complex_list(params: dict, key: str, path: str) -> list:
-    raw = require(params, key, path)
+    raw = _field(params, key, path)
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{path}.{key}", "expected a non-empty list")
     return [_as_complex(z, f"{path}.{key}[{k}]") for k, z in enumerate(raw)]

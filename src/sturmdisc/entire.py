@@ -130,6 +130,27 @@ def ray_points(y_lo: float = 1e2, y_hi: float = 1e6, per_decade: int = 2) -> np.
     return np.geomspace(y_lo, y_hi, n)
 
 
+# the columns of a ray fit: mu(iy) = |Im sqrt(iy)| = sqrt(y/2), log y, 1
+_RAY_COLUMNS = {"mu": lambda ys: np.sqrt(ys / 2.0), "log": np.log, "1": np.ones_like}
+
+
+def _ray_lstsq(ys, vals, columns):
+    """Least squares of ``vals`` on the named ``columns`` of the ray points
+    ``ys``; the one fit behind every ray estimate.  Returns the coefficients,
+    their standard errors (NaN with no degree of freedom left) and the
+    residuals."""
+
+    ys, vals = np.asarray(ys, dtype=float), np.asarray(vals, dtype=float)
+    design = np.column_stack([_RAY_COLUMNS[c](ys) for c in columns])
+    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
+    resid = vals - design @ coef
+    dof = ys.size - len(columns)
+    if dof <= 0:
+        return coef, np.full(len(columns), math.nan), resid
+    r_inv = np.linalg.inv(np.linalg.qr(design, mode="r"))  # (D^T D)^-1 = R^-1 R^-T
+    return coef, np.sqrt(resid @ resid / dof * np.sum(r_inv**2, axis=1)), resid
+
+
 def growth_fit(ys, log_mags) -> GrowthFit:
     """Least-squares fit of ``log|f(iy)| = c sqrt(y/2) + p log y + const``."""
 
@@ -137,11 +158,7 @@ def growth_fit(ys, log_mags) -> GrowthFit:
     log_mags = np.asarray(log_mags, dtype=float)
     if ys.size < 3:
         raise ValueError(f"a 3-parameter growth fit needs at least 3 samples, got {ys.size}")
-    design = np.column_stack(
-        [np.sqrt(ys / 2.0), np.log(ys), np.ones_like(ys)]
-    )
-    coef, *_ = np.linalg.lstsq(design, log_mags, rcond=None)
-    resid = log_mags - design @ coef
+    coef, _, resid = _ray_lstsq(ys, log_mags, ("mu", "log", "1"))
     return GrowthFit(
         c=float(coef[0]),
         p=float(coef[1]),

@@ -32,15 +32,19 @@ segment end costs nothing.
 
 The bracket ``y*z' - y'*z`` of solutions of two nearby problems is
 exponentially smaller than its factors, so :func:`pair_integrals` does not
-form it from the end states.  It walks both problems at once and sums the
-exact integral form at quadrature nodes, which avoids the catastrophic
-cancellation of forming the difference afterwards.
+form it from the end states.  It walks both problems for a whole batch of
+lambda at once and sums the exact integral form at quadrature nodes, which
+avoids the catastrophic cancellation of forming the difference afterwards.
 
 Accuracy is one argument, ``tol``: the walker runs DOP853 through
 ``_integrate`` at ``rtol = tol`` and ``atol = tol / 100``.  ``TOL`` is the
 default; ``BRACKET_TOL`` serves the brackets of two solutions (the
 Wronskian, ``F`` and its ray probes), which lose digits to the
-cancellation between their factors.
+cancellation between their factors.  A batch of ``n`` lambda shares one
+step sequence whose error norm is the RMS over the batch, so each lambda
+keeps the error of a one-lambda solve at ``tol / sqrt(n)``:
+:func:`pair_integrals` divides by ``sqrt(n)`` itself, and the ray callers
+of :func:`solve_many` pass the divided ``tol``.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ TOL = 1e-10  # default relative tolerance of every solve
 BRACKET_TOL = 1e-12  # tolerance of the two-problem brackets and their ray probes
 _LOG_MAX = math.log(sys.float_info.max)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_PAIR_BLOCK = 1024  # quadrature nodes read per walk of pair_integrals
 
 
 # ---------------------------------------------------------------------------
@@ -416,50 +421,69 @@ def _bracket(ya, yb):
 def pair_integrals(
     prob_a: Problem,
     prob_b: Problem,
-    lam: complex,
+    lams,
     x_from: float,
     x_to: float,
     init_a,
     init_b,
     *,
     tol: float = TOL,
-) -> ScaledVal:
+):
     """The bracket ``W = yA yB' - yA' yB`` at ``x_to`` of the solutions of
     two problems that share ``d``, started from ``init_a`` and ``init_b``
-    (each ``(y, y')``) at ``x_from < x_to``, with the scale
-    ``exp(2 mu (x_to - x_from))`` factored out.
+    (each ``(y, y')``) at ``x_from < x_to``, for a batch of lambda:
+    ``(vals, logs)`` with ``W = vals * exp(logs)``, ``logs = 2 mu (x_to -
+    x_from)``.
 
     Between two nearby problems ``W`` is exponentially smaller than its
-    factors, so it is not formed from the end states.  It is summed from
-    its value at the start, the integral of ``W' = (qB - qA) yA yB`` over
-    the :func:`_gauss_nodes` of one walk of both problems, and its jump at
-    ``d``, each term at the scale of the result.  A term more than
-    ``350 / mu`` before ``x_to`` weighs less than ``exp(-700)``, so the walk
-    crosses that stretch without reads and the sum starts at its end.
+    factors, so it is summed from its value at the start, the integral of
+    ``W' = (qB - qA) yA yB`` over the :func:`_gauss_nodes` of one walk of
+    both problems, and its jump at ``d``, each term at the scale of the
+    result.  A term more than ``350 / mu`` before ``x_to`` weighs less than
+    ``exp(-700)``, so the walk crosses that stretch without reads.  The
+    batch shares the walk: nodes from its largest ``|lam|``, skip-ahead from
+    its smallest ``mu``, ``tol / sqrt(len(lams))`` (a one-lambda call is
+    unchanged), and ``_PAIR_BLOCK`` nodes read per walk to bound the memory.
     """
 
     if not x_to > x_from:
         raise ValueError("pair_integrals integrates left to right")
-    mu = growth_rate(lam)
-    d = prob_a.d
-    problems = [prob_a, prob_b]
-    z = np.array([init_a, init_b], dtype=complex).reshape(2, 1, 2)
-    start = x_from if mu * (x_to - x_from) <= 350.0 else x_to - 350.0 / mu
+    lams = np.asarray(lams, dtype=complex).ravel()
+    n, d, problems = lams.size, prob_a.d, [prob_a, prob_b]
+    tol = tol / math.sqrt(n)  # each lambda keeps the error of a one-lambda call
+    mus = np.array([growth_rate(lam) for lam in lams])
+
+    def decay(dist):  # exp(-2 mu dist) by math.exp, as a one-lambda call has it
+        return np.array([math.exp(-2.0 * mu * dist) for mu in mus])
+
+    # rows: lams for problem A, then lams for problem B
+    z = np.repeat(np.array([init_a, init_b], dtype=complex).reshape(2, 1, 2), n, axis=0)
+    mu_min = mus.min()
+    start = x_from if mu_min * (x_to - x_from) <= 350.0 else x_to - 350.0 / mu_min
     if start > x_from:
         # d listed twice reads the state after the matching
         cut = [start, start] if abs(start - d) <= 1e-12 else [start]
-        z = _walk(problems, [lam], z, x_from, cut, tol=tol)[0][-1]
-    x, w = _gauss_nodes(lam, start, x_to, [d] + prob_a.q.breakpoints() + prob_b.q.breakpoints())
+        z = _walk(problems, lams, z, x_from, cut, tol=tol)[0][-1]
+    total = _bracket(z[:n, 0], z[n:, 0]) * decay(x_to - start)
+    x, w = _gauss_nodes(
+        lams[np.argmax(np.abs(lams))], start, x_to,
+        [d] + prob_a.q.breakpoints() + prob_b.q.breakpoints(),
+    )
     k = int(np.searchsorted(x, d))
     crosses = start + 1e-12 < d < x_to - 1e-12
     if crosses:  # d read twice, with no quadrature weight
         x, w = np.insert(x, k, [d, d]), np.insert(w, k, [0.0, 0.0])
-    states = _walk(problems, [lam], z, start, x, tol=tol)[0][:, :, 0]
-    ya, yb = states[:, 0], states[:, 1]
-    f = (prob_b.q(x) - prob_a.q(x)) * ya[:, 0] * yb[:, 0]
-    total = w @ (f * np.exp(-2.0 * mu * (x_to - x)))
-    total += _bracket(z[0, 0], z[1, 0]) * math.exp(-2.0 * mu * (x_to - start))
-    if crosses:
-        jump = _bracket(ya[k + 1], yb[k + 1]) - _bracket(ya[k], yb[k])
-        total += jump * math.exp(-2.0 * mu * (x_to - d))
-    return ScaledVal(complex(total), 2.0 * mu * (x_to - x_from))
+    i, pos = 0, start
+    while i < x.size:
+        j = min(i + _PAIR_BLOCK, x.size)
+        if crosses and j == k + 1:
+            j += 1  # both reads of d in one walk, so the matching is applied
+        states = _walk(problems, lams, z, pos, x[i:j], tol=tol)[0]
+        ya, yb, xb = states[:, :n, 0], states[:, n:, 0], x[i:j]
+        f = (prob_b.q(xb) - prob_a.q(xb))[:, None] * ya[..., 0] * yb[..., 0]
+        total = total + w[i:j] @ (f * np.exp(-2.0 * mus * (x_to - xb[:, None])))
+        if crosses and i <= k < j:
+            jump = _bracket(ya[k + 1 - i], yb[k + 1 - i]) - _bracket(ya[k - i], yb[k - i])
+            total += jump * decay(x_to - d)
+        z, pos, i = states[-1], x[j - 1], j
+    return total, 2.0 * mus * (x_to - x_from)

@@ -156,17 +156,14 @@ def _winding_closed(cache, pts, max_depth=26, verify_passes=3):
 
 
 def _rect_path(re_lo, re_hi, im_lo, im_hi, n_re, n_im):
-    top, bottom = [], []
-    left, right = [], []
     res = np.linspace(re_lo, re_hi, n_re + 1)
     ims = np.linspace(im_lo, im_hi, n_im + 1)
-    path = (
+    return (
         [complex(r, im_lo) for r in res]
         + [complex(re_hi, i) for i in ims[1:]]
         + [complex(r, im_hi) for r in res[::-1][1:]]
         + [complex(re_lo, i) for i in ims[::-1][1:]]
     )
-    return path
 
 
 def count_zeros(f_batch, rect) -> int:

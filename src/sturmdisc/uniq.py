@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asympt import _decay_above_floor
 from .expr import X, BinOp, Const, Piece, Pow, PotentialExpr
-from .charfn import _f_reads, _f_sample, char_delta, f_bracket_ray
-from .entire import ProductModel, check_counting_bound, CountingBound
+from .charfn import _f_reads, _f_sample, char_delta, delta_many, f_bracket_ray
+from .entire import CountingBound, ProductModel, _ray_lstsq, check_counting_bound, ray_points
 from .problem import Problem
 from .spectrum import ZeroSequence
 
@@ -69,6 +70,7 @@ class RayProbe:
     passes: bool
     ys: np.ndarray
     normalized_logs: np.ndarray
+    slope_stderr: float = math.nan
 
 
 def bracket_decay_probe(
@@ -83,19 +85,15 @@ def bracket_decay_probe(
     When the potentials agree on ``[b, pi]``, match to ``m`` derivatives at
     ``b``, and share boundary data at 0, the normalized bracket decays at
     least like ``y^-((m+1)/2)``; the probe passes when the fitted slope
-    clears that threshold (with a small fitting allowance).
+    clears that threshold (with a small fitting allowance).  Points below
+    the noise floor of :func:`decay_order_fit` are left out; with fewer
+    than 3 above it (``F = 0`` for a problem paired with itself) the slope
+    is ``-inf``, decay beyond resolution, which passes.
     """
 
-    if ys is None:
-        ys = np.geomspace(1e2, 1e6, 9)
-    ys = np.asarray(ys, dtype=float)
-    logs = np.empty(ys.size)
-    for k, y in enumerate(ys):
-        F = f_bracket_ray(prob_a, prob_b, b, 1j * y)
-        # F.log_abs already carries the 2 mu b growth of the bracket scale
-        logs[k] = math.log(abs(F.val)) if F.val != 0 else -math.inf
-    good = np.isfinite(logs)
-    coef = np.polyfit(np.log(ys[good]), logs[good], 1)
+    ys = ray_points() if ys is None else np.asarray(ys, dtype=float)
+    vals, _ = f_bracket_ray(prob_a, prob_b, b, 1j * ys)  # vals leave out exp(2 mu b)
+    logs, _, _, coef, stderr = _decay_above_floor(prob_a, prob_b, 0.0, b, ys, vals)
     threshold = -(m + 1) / 2 + 0.15
     slope = float(coef[0])
     return RayProbe(
@@ -104,6 +102,7 @@ def bracket_decay_probe(
         passes=slope <= threshold,
         ys=ys,
         normalized_logs=logs,
+        slope_stderr=float(stderr[0]),
     )
 
 
@@ -158,6 +157,7 @@ class RatioReport:
     log_ratios: np.ndarray  # log |F(iy)| - log |G(iy)|
     expected_rate: float  # -(4 pi - 2 b) in units of mu(iy) = sqrt(y/2)
     fitted_rate: float
+    rate_stderr: float
     monotone_tail: bool
     counting: CountingBound | None
 
@@ -183,25 +183,23 @@ def product_ratio_probe(
     can be supplied instead, in which case the counting comparison against
     the base spectra is run first.  The ratio should decay like
     ``exp(-mu (4 pi - 2 b))`` with ``mu = sqrt(y/2)``; the report carries
-    the fitted rate and whether the tail is monotonically decreasing.
+    the fitted rate with its standard error and whether the tail is
+    monotonically decreasing.  The factors are one :func:`delta_many` batch
+    per problem, at ``1e-9 / sqrt(len(ys))``.
     """
 
-    if ys is None:
-        ys = np.geomspace(1e2, 1e6, 9)
-    ys = np.asarray(ys, dtype=float)
-    exact = seq_robin is None and seq_dirichlet is None
-    counting = None
-    if not exact:
-        if seq_robin is None or seq_dirichlet is None:
-            raise ValueError("explicit products need both zero sequences")
-        counting = check_counting_bound(
-            seq_robin.merged(seq_dirichlet), seq_robin, seq_dirichlet, 1, 1, 0
-        )
-        model = ProductModel(seq_robin.merged(seq_dirichlet), constant=1.0)
+    ys = ray_points() if ys is None else np.asarray(ys, dtype=float)
+    lams = 1j * ys
+    if seq_robin is not None and seq_dirichlet is not None:
+        merged = seq_robin.merged(seq_dirichlet)
+        counting = check_counting_bound(merged, seq_robin, seq_dirichlet, 1, 1, 0)
+        log_g = ProductModel(merged, constant=1.0).log_abs_many(lams)
+    elif seq_robin is not None or seq_dirichlet is not None:
+        raise ValueError("explicit products need both zero sequences")
     else:
         # each factor is normalized by its value at 0 (the product form
         # with constant 1), so the comparison matches the product route
-        log_at_zero = []
+        counting, log_g = None, np.zeros(ys.size)
         for name, prob in (("problem_a", prob_a), ("problem_b", prob_b)):
             s0 = char_delta(prob, 0.0)
             scale = abs(s0.phi_end.val) + abs(s0.dphi_end.val)
@@ -211,31 +209,20 @@ def product_ratio_probe(
                         f"{name}: {what}(0) = 0, so the normalization at 0 "
                         "fails; shift q by a constant to move the spectrum off 0"
                     )
-            log_at_zero.append(s0.delta.log_abs + s0.delta_inf.log_abs)
-
-    log_ratios = np.empty(ys.size)
-    for k, y in enumerate(ys):
-        lam = 1j * y
-        F = f_bracket_ray(prob_a, prob_b, b, lam)
-        logF = F.log_abs
-        if exact:
-            logG = 0.0
-            for prob in (prob_a, prob_b):
-                s = char_delta(prob, lam, tol=1e-9)
-                logG += s.delta.log_abs + s.delta_inf.log_abs
-            for log0 in log_at_zero:
-                logG -= log0
-        else:
-            logG = model.log_abs_many(np.array([lam]))[0]
-        log_ratios[k] = logF - logG
-    mus = np.sqrt(ys / 2.0)
-    coef = np.polyfit(mus, log_ratios, 1)
+            log_g -= s0.delta.log_abs + s0.delta_inf.log_abs
+        for prob in (prob_a, prob_b):
+            vals, vals_inf, logs = delta_many(prob, lams, tol=1e-9 / math.sqrt(ys.size))
+            log_g += np.log(np.abs(vals)) + np.log(np.abs(vals_inf)) + 2.0 * logs
+    vals, logs = f_bracket_ray(prob_a, prob_b, b, lams)
+    log_ratios = np.log(np.abs(vals)) + logs - log_g
+    coef, stderr, _ = _ray_lstsq(ys, log_ratios, ("mu", "1"))
     tail = np.diff(log_ratios) < 0
     return RatioReport(
         ys=ys,
         log_ratios=log_ratios,
         expected_rate=-(4 * math.pi - 2 * b),
         fitted_rate=float(coef[0]),
+        rate_stderr=float(stderr[0]),
         monotone_tail=bool(tail[max(0, tail.size - 4):].all()),
         counting=counting,
     )

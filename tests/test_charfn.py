@@ -139,6 +139,21 @@ class TestConsistency:
                 s.delta_inf.value, rel=1e-7
             )
 
+    @given(consistency_setups(), st.lists(st.floats(2.0, 4.0), min_size=2, max_size=5))
+    @settings(max_examples=10, deadline=None)
+    def test_delta_many_on_a_ray_matches_char_delta(self, setup, decades):
+        # the ray probes' batches: one walk at TOL / sqrt(n) keeps each point
+        # within the 5e-11 sqrt|lam| of a one-lambda solve
+        problem, _ = setup
+        lams = 1j * 10.0 ** np.array(decades)
+        vals, vals_inf, logs = delta_many(problem, lams, tol=1e-10 / math.sqrt(lams.size))
+        for k, lam in enumerate(lams):
+            s = char_delta(problem, complex(lam))
+            bound = 1e-10 * math.sqrt(abs(lam))
+            for got, want in ((vals[k], s.delta), (vals_inf[k], s.delta_inf)):
+                assert want.log == logs[k]
+                assert abs(got - want.val) <= bound * abs(want.val)
+
 
 def free_jump_scaled(lam, h, H, beta, gamma, d):
     """Exact ``(delta, delta_inf)`` of the ``q = 0`` problem, divided by

@@ -305,8 +305,9 @@ class TestValidationErrors:
         def unreachable(*args, **kw):
             raise AssertionError("the library ran before the config was checked")
 
-        for name in ("find_eigenvalues", "char_delta", "growth_fit", "decay_order_fit",
-                     "bracket_decay_probe", "collapse_consistency", "product_ratio_probe"):
+        for name in ("find_eigenvalues", "char_delta", "delta_many", "growth_fit",
+                     "decay_order_fit", "bracket_decay_probe", "collapse_consistency",
+                     "product_ratio_probe"):
             monkeypatch.setattr(f"sturmdisc.cli.{name}", unreachable)
         cfg = write_config(
             tmp_path, {"problems": {"a": FREE, "b": {"q": "1"}}, command: section}

@@ -414,44 +414,69 @@ class TestPairIntegrals:
     def test_identical_problems_zero_bracket(self):
         p = Problem(q=PotentialExpr.parse("sin(x)"), h=0.1)
         init = np.array([[1.0, 0.1]], dtype=complex)
-        integral = pair_integrals(p, p, 14.0, 0.0, 2.0, init, init)
-        assert abs(integral.val) < 1e-12
+        (val,), _ = pair_integrals(p, p, [14.0], 0.0, 2.0, init, init)
+        assert abs(val) < 1e-12
 
     def test_accumulated_integral_matches_quadrature(self):
         pa = Problem(q=PotentialExpr.parse("0"))
         pb = Problem(q=PotentialExpr.parse("1"))
         lam = 5.0
         init = np.array([[1.0, 0.0]], dtype=complex)
-        integral = pair_integrals(pa, pb, lam, 0.0, 1.2, init, init)
+        (val,), (log,) = pair_integrals(pa, pb, [lam], 0.0, 1.2, init, init)
         # direct quadrature of (qB - qA) * yA * yB with explicit solutions
         xs = np.linspace(0.0, 1.2, 2001)
         sa, _ = solve_chain(pa, lam, xs, x_from=0.0, init=init)
         sb, _ = solve_chain(pb, lam, xs, x_from=0.0, init=init)
         vals = sa[:, 0, 0] * sb[:, 0, 0]
         want = np.trapezoid(vals, xs)
-        assert integral.value == pytest.approx(want, rel=1e-6)
+        assert ScaledVal(val, log).value == pytest.approx(want, rel=1e-6)
 
     def test_problems_must_share_d(self):
         pa, pb = Problem(q="0", d=1.0), Problem(q="0", d=1.2)
         with pytest.raises(ValueError, match="share"):
-            pair_integrals(pa, pb, 5.0, 0.0, 2.0, (1.0, 0.0), (1.0, 0.0))
+            pair_integrals(pa, pb, [5.0], 0.0, 2.0, (1.0, 0.0), (1.0, 0.0))
 
     @given(pair_setups())
     @settings(max_examples=40, deadline=None)
     def test_bracket_of_end_states(self, setup):
         # distinct beta and gamma give W a jump at d
         pa, pb, (init_a, init_b), x_from, x_to, lam = setup
-        got = pair_integrals(pa, pb, lam, x_from, x_to, init_a, init_b, tol=BRACKET_TOL)
+        (val,), (got_log,) = pair_integrals(
+            pa, pb, [lam], x_from, x_to, init_a, init_b, tol=BRACKET_TOL
+        )
         (za,), (log,) = solve_chain(pa, lam, [x_to], x_from=x_from, init=init_a, tol=BRACKET_TOL)
         (zb,), _ = solve_chain(pb, lam, [x_to], x_from=x_from, init=init_b, tol=BRACKET_TOL)
         # both at the scale exp(2 mu (x_to - x_from))
-        assert got.log == pytest.approx(2 * log, rel=1e-14)
+        assert got_log == pytest.approx(2 * log, rel=1e-14)
         want = za[0, 0] * zb[0, 1] - za[0, 1] * zb[0, 0]
         scale = max(
             wronskian_scale(lam, za[0], zb[0]),
             wronskian_scale(lam, init_a, init_b) * math.exp(-2 * log),
         )
-        assert abs(got.val - want) < 1e-10 * scale
+        assert abs(val - want) < 1e-10 * scale
+
+    @given(pair_setups(), st.lists(st.floats(0.0, 4.0), min_size=2, max_size=5),
+           st.floats(-math.pi, math.pi))
+    @settings(max_examples=10, deadline=None)
+    def test_batch_matches_one_lambda_calls(self, setup, decades, angle):
+        # |lam| up to 1e4 in one walk: nodes from the largest, the
+        # skip-ahead from the smallest mu, tol / sqrt(n)
+        pa, pb, (init_a, init_b), x_from, x_to, _ = setup
+        lams = [10.0**e * cmath.exp(1j * angle * (k + 1) / len(decades))
+                for k, e in enumerate(decades)]
+        vals, logs = pair_integrals(pa, pb, lams, x_from, x_to, init_a, init_b, tol=BRACKET_TOL)
+        for k, lam in enumerate(lams):
+            (val,), (log,) = pair_integrals(
+                pa, pb, [lam], x_from, x_to, init_a, init_b, tol=BRACKET_TOL
+            )
+            assert logs[k] == log
+            (za,), _ = solve_chain(pa, lam, [x_to], x_from=x_from, init=init_a, tol=BRACKET_TOL)
+            (zb,), _ = solve_chain(pb, lam, [x_to], x_from=x_from, init=init_b, tol=BRACKET_TOL)
+            scale = max(
+                wronskian_scale(lam, za[0], zb[0]),
+                wronskian_scale(lam, init_a, init_b) * math.exp(-log),
+            )
+            assert abs(vals[k] - val) < 1e-9 * scale
 
 
 class TestAccuracyArgument:

@@ -1,6 +1,7 @@
 """Tests for the uniqueness-ingredient probes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from test_charfn import consistency_setups
 from test_ode import complex_in, wronskian_scale
 
 from sturmdisc import charfn, uniq
-from sturmdisc.charfn import char_delta, f_bracket_ray, f_function
+from sturmdisc.charfn import char_delta, delta_many, f_bracket_ray, f_function
 from sturmdisc.expr import PotentialExpr
-from sturmdisc.ode import BRACKET_TOL, solve_chain
+from sturmdisc.ode import BRACKET_TOL, ScaledVal, solve_chain
 from sturmdisc.problem import Problem
 from sturmdisc.spectrum import ZeroSequence
 from sturmdisc.uniq import (
@@ -82,6 +83,17 @@ class TestBracketDecayProbe:
         assert probe.passes
         assert probe.slope == pytest.approx(-1.5, abs=0.1)
 
+    def test_identical_pair_decays_beyond_resolution(self):
+        # F = 0 exactly or at rounding level: no point clears the noise
+        # floor, so there is no line to fit
+        p = base_jump()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probe = bracket_decay_probe(p, p, 2.0, 0, ys=np.geomspace(1e2, 1e3, 3))
+        assert probe.slope == -math.inf
+        assert probe.passes
+        assert math.isnan(probe.slope_stderr)
+
 
 class TestCollapsedEvaluation:
     LAMS = np.array(
@@ -132,7 +144,8 @@ class TestCollapsedEvaluation:
         p, lam = setup
         b = p.d + side * gap
         pb = modify_below(p, b, m=m, weight=weight, dh=dh)
-        diff = f_bracket_ray(p, pb, b, lam) - f_function(p, pb, lam, at=b).F
+        (val,), (log_f,) = f_bracket_ray(p, pb, b, [lam])
+        diff = ScaledVal(val, log_f) - f_function(p, pb, lam, at=b).F
         (za,), (log,) = solve_chain(p, lam, [b], tol=BRACKET_TOL)
         (zb,), _ = solve_chain(pb, lam, [b], tol=BRACKET_TOL)
         # relative to the Wronskian scale of phi and phi~ at b
@@ -160,20 +173,19 @@ class TestRatioProbe:
 
         monkeypatch.setattr(uniq, "char_delta", counting)
         rep = product_ratio_probe(p, pb, b, ys=ys)
-        # two problems at each ray point, plus each problem once at 0
-        assert len(calls) == 2 * len(ys) + 2
-        # the log ratios are those of normalizing at 0 at every ray point
-        for k, y in enumerate(ys):
-            lam = 1j * y
-            logG = 0.0
-            for prob in (p, pb):
-                s = char_delta(prob, lam, tol=1e-9)
-                logG += s.delta.log_abs + s.delta_inf.log_abs
-            for prob in (p, pb):
-                s0 = char_delta(prob, 0.0)
-                logG -= s0.delta.log_abs + s0.delta_inf.log_abs
-            logF = f_bracket_ray(p, pb, b, lam).log_abs
-            assert rep.log_ratios[k] == logF - logG
+        # each problem once at 0; the ray points are batched
+        assert calls == [0.0, 0.0]
+        # the log ratios are those of normalizing at 0 at every ray point,
+        # with each problem's factors from one batch at 1e-9 / sqrt(n)
+        log_g = np.zeros(ys.size)
+        for prob in (p, pb):
+            s0 = char_delta(prob, 0.0)
+            log_g -= s0.delta.log_abs + s0.delta_inf.log_abs
+        for prob in (p, pb):
+            vals, vals_inf, logs = delta_many(prob, 1j * ys, tol=1e-9 / math.sqrt(ys.size))
+            log_g += np.log(np.abs(vals)) + np.log(np.abs(vals_inf)) + 2.0 * logs
+        vals, logs = f_bracket_ray(p, pb, b, 1j * ys)
+        assert list(rep.log_ratios) == list(np.log(np.abs(vals)) + logs - log_g)
 
     def test_zero_at_origin_is_refused(self, monkeypatch):
         # Problem(q="0") has the Neumann eigenvalue 0, so delta(0) = 0
