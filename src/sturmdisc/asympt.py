@@ -318,16 +318,12 @@ class DecayFit:
     slope_stderr: float = math.nan
 
 
-def _decay_above_floor(prob_a, prob_b, r, x0, ys, vals, sine_members=0):
-    """The one decay rule of the pair probes: fit ``log|vals|`` against
-    ``log y`` over the points above the noise floor of a bracket summed over
-    ``[r, x0]`` at ``BRACKET_TOL``, ``30 BRACKET_TOL max|qB - qA| (x0 - r)``
-    times ``|lam|^(-1/2)`` per member started from ``(0, 1)``.  Fewer than 3
-    points above it give the slope ``-inf``: decay beyond resolution.
-
-    Returns ``(logs, floor_logs, used, coef, stderr)``, with ``coef`` and
-    ``stderr`` for the slope per ``log y`` and the intercept.
-    """
+def _above_floor(prob_a, prob_b, r, x0, ys, vals, sine_members=0):
+    """The noise floor of the pair probes, for a bracket summed over ``[r,
+    x0]`` at ``BRACKET_TOL``: ``30 BRACKET_TOL max|qB - qA| (x0 - r)`` times
+    ``|lam|^(-1/2)`` per member started from ``(0, 1)``.  Returns ``(logs,
+    floor_logs, used)``: ``log|vals|``, the floor's logs and the mask of
+    the points above it."""
 
     xs = np.linspace(r, x0, 257)
     qdiff = np.max(np.abs(prob_b.q(xs) - prob_a.q(xs)))
@@ -335,7 +331,20 @@ def _decay_above_floor(prob_a, prob_b, r, x0, ys, vals, sine_members=0):
         logs = np.log(np.abs(vals))
     floor = 30.0 * BRACKET_TOL * max(qdiff, 1e-30) * (x0 - r)
     floors = math.log(floor) - 0.5 * sine_members * np.log(ys)
-    used = logs > floors
+    return logs, floors, logs > floors
+
+
+def _decay_above_floor(prob_a, prob_b, r, x0, ys, vals, sine_members=0):
+    """The one decay rule of the pair probes: fit ``log|vals|`` against
+    ``log y`` over the points above the :func:`_above_floor` noise floor.
+    Fewer than 3 points above it give the slope ``-inf``: decay beyond
+    resolution.
+
+    Returns ``(logs, floor_logs, used, coef, stderr)``, with ``coef`` and
+    ``stderr`` for the slope per ``log y`` and the intercept.
+    """
+
+    logs, floors, used = _above_floor(prob_a, prob_b, r, x0, ys, vals, sine_members)
     if used.sum() < 3:
         return logs, floors, used, (-math.inf, math.nan), (math.nan, math.nan)
     coef, stderr, _ = _ray_lstsq(ys[used], logs[used], ("log", "1"))

@@ -70,9 +70,12 @@ def char_delta(
     ``nu_max``) at ``lam`` via one chain solve of ``phi``.
 
     At the default ``tol`` the relative error of ``delta`` and ``delta_inf``
-    stays below ``5e-11 * sqrt(|lam|)`` out to ``|lam| = 1e6``, checked
-    against the exact free-jump values on the imaginary ray and at
-    ``1e6 + 1000i``.
+    stays below ``5e-11 * sqrt(|lam|)`` out to ``|lam| = 1e6``.  For
+    ``nu_max = 0`` the Magnus kernel is exact on constant pieces of ``q``:
+    against the exact free-jump values on the imaginary ray and at ``1e6 +
+    1000i`` the error is rounding, at most 4.7e-13.  On ``a sin(kx) + c``
+    with ``|lam| <= 1e4`` it stayed within 0.07 of the bound against DOP853
+    at ``tol = 1e-13`` (30 random draws).
     """
 
     states, logs = solve_many(problem, [lam], nu_max=nu_max, tol=tol)

@@ -259,7 +259,7 @@ def compile_node(node: Node) -> Callable:
 def as_polynomial(node: Node):
     """Return the AST as a ``numpy.polynomial.Polynomial`` with complex
     coefficients, or ``None`` if it involves a transcendental function or a
-    non-constant divisor."""
+    non-constant divisor; a constant divisor 0 is an :class:`ExprError`."""
 
     P = np.polynomial.Polynomial
     if isinstance(node, Const):
@@ -285,6 +285,8 @@ def as_polynomial(node: Node):
             return left * right
         if node.op == "/":
             if right.degree() == 0:
+                if right.coef[0] == 0:
+                    raise ExprError("division by zero")
                 return left / right.coef[0]
             return None
     return None

@@ -26,9 +26,21 @@ jump at ``d`` and returns the states at the points it is asked for.
 :func:`solve_many` runs it on a batch and reads the far end only;
 :func:`solve_chain` runs it on one lambda and reads a list of points
 (``b``, ``d-0``, ``d+0`` and ``pi`` for the bracket ``F``, the quadrature
-nodes of the norming integrals).  A point inside a segment costs that
-segment a DOP853 interpolant, three extra RHS stages per step; a point at a
-segment end costs nothing.
+nodes of the norming integrals).  The walk hands each segment between
+breakpoints to one of two kernels:
+
+* ``_magnus``, a fourth-order Magnus scheme with two Gauss nodes per step,
+  serves every segment of a ``nu_max = 0`` walk with no point to read
+  strictly inside it: the end states of :func:`solve_many` (so ``delta``
+  on contours and rays), the Wronskian grid and the skip-ahead of
+  :func:`pair_integrals`.  It is exact on a constant piece of ``q``, and
+  its error does not grow with ``|lam|``.
+* ``_dop853``, scipy's DOP853 through ``_integrate``, serves the rest: the
+  lambda-derivative chains (``nu_max >= 1``: Newton steps, multiplicities,
+  the derivative identity), which need the Fréchet derivative of the step
+  exponential, and segments with a point inside, which it reads from an
+  interpolant (the norming ``psi``, the nodes of :func:`pair_integrals`,
+  ``F`` at ``b``), which would need a partial Magnus step.
 
 The bracket ``y*z' - y'*z`` of solutions of two nearby problems is
 exponentially smaller than its factors, so :func:`pair_integrals` does not
@@ -36,15 +48,23 @@ form it from the end states.  It walks both problems for a whole batch of
 lambda at once and sums the exact integral form at quadrature nodes, which
 avoids the catastrophic cancellation of forming the difference afterwards.
 
-Accuracy is one argument, ``tol``: the walker runs DOP853 through
-``_integrate`` at ``rtol = tol`` and ``atol = tol / 100``.  ``TOL`` is the
-default; ``BRACKET_TOL`` serves the brackets of two solutions (the
-Wronskian, ``F`` and its ray probes), which lose digits to the
-cancellation between their factors.  A batch of ``n`` lambda shares one
-step sequence whose error norm is the RMS over the batch, so each lambda
-keeps the error of a one-lambda solve at ``tol / sqrt(n)``:
-:func:`pair_integrals` divides by ``sqrt(n)`` itself, and the ray callers
-of :func:`solve_many` pass the divided ``tol``.
+Accuracy is one argument, ``tol``.  ``TOL`` is the default;
+``BRACKET_TOL`` serves the brackets of two solutions (the Wronskian, ``F``
+and its ray probes), which lose digits to the cancellation between their
+factors.  Each kernel reads ``tol`` its own way:
+
+* DOP853 runs at ``rtol = tol`` and ``atol = tol / 100``.  A batch of ``n``
+  lambda shares one step sequence whose error norm is the RMS over the
+  batch, so each lambda keeps the error of a one-lambda solve at ``tol /
+  sqrt(n)``: :func:`pair_integrals` divides by ``sqrt(n)`` itself, and the
+  ray callers of :func:`solve_many` pass the divided ``tol``.
+* Magnus takes one step over the segment first, then 8 steps per unit
+  length, doubling, and keeps the result of ``2N`` steps once every row
+  has ``max |z_2N - z_N| <= tol max |z_2N|``, or a change no larger than
+  the rounding ``8 eps (2N + sqrt|lam| |hi - lo|)`` of the step products
+  and the phase.  Past ``2**16`` steps it raises ``RuntimeError`` naming
+  the segment and the worst lambda.  Rows are judged one by one, so a
+  divided ``tol`` only asks a batch for more than it needs.
 """
 
 from __future__ import annotations
@@ -53,7 +73,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -204,7 +224,7 @@ def _start(problem: Problem, side: str, n: int, nu_max: int):
 
 def _integrate(rhs, lo: float, hi: float, y0, tol: float, dense: bool = False):
     """One DOP853 solve over ``[lo, hi]``; the one place a tolerance reaches
-    the integrator, as ``rtol = tol`` and ``atol = tol / 100``."""
+    DOP853, as ``rtol = tol`` and ``atol = tol / 100``."""
 
     sol = solve_ivp(
         rhs, (lo, hi), y0, method="DOP853", dense_output=dense, rtol=tol, atol=tol * 1e-2
@@ -212,6 +232,182 @@ def _integrate(rhs, lo: float, hi: float, y0, tol: float, dense: bool = False):
     if not sol.success:
         raise RuntimeError(f"integration failed on [{lo}, {hi}]: {sol.message}")
     return sol
+
+
+class _Rows(NamedTuple):
+    """The rows of one walk: the lambda of the batch for each problem in
+    turn, their rates ``mu`` and the walk's ``tol``."""
+
+    problems: Sequence[Problem]
+    lams: np.ndarray
+    mus: np.ndarray
+    tol: float
+
+    def q_fns(self, lo: float, hi: float) -> list:
+        return [p.q.piece_fn(min(lo, hi), max(lo, hi)) for p in self.problems]
+
+
+def _dop853(rows: _Rows, lo: float, hi: float, z, reads):
+    """The DOP853 kernel: one :func:`_integrate` over the segment, with an
+    interpolant, read at ``reads``, only when there are reads.  Returns the
+    end state and the states at ``reads``."""
+
+    nu_max = z.shape[1] - 1
+    mu_signed = ((1.0 if hi >= lo else -1.0) * rows.mus)[:, None]
+    lam_col = rows.lams[:, None]
+    qfns = rows.q_fns(lo, hi)
+    if len(qfns) == 1:
+        (qfn,) = qfns  # one problem: a scalar q, no stacking per call
+    else:
+        n = rows.lams.size // len(qfns)
+
+        def qfn(x):
+            return np.repeat([f(x) for f in qfns], n)[:, None]
+
+    def rhs(x, flat):
+        zz = flat.reshape(-1, nu_max + 1, 2)
+        out = np.empty_like(zz)
+        out[..., 0] = zz[..., 1] - mu_signed * zz[..., 0]
+        out[..., 1] = (qfn(x) - lam_col) * zz[..., 0] - mu_signed * zz[..., 1]
+        if nu_max:
+            out[:, 1:, 1] -= zz[:, :-1, 0]
+        return out.ravel()
+
+    sol = _integrate(rhs, lo, hi, z.ravel(), rows.tol, dense=reads.size > 0)
+    states = sol.sol(reads).T.reshape(reads.shape + z.shape) if reads.size else None
+    return sol.y[:, -1].reshape(z.shape).copy(), states
+
+
+# the two Gauss nodes of a Magnus step, as fractions of the step
+_NODES = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
+_COSH = [1.0 / math.factorial(2 * k) for k in range(9)]  # series in s^2
+_SINHC = [1.0 / math.factorial(2 * k + 1) for k in range(9)]
+_MAGNUS_BLOCK = 1 << 13  # step-lambda propagators built and folded at once
+_MAGNUS_MAX_STEPS = 1 << 16
+
+
+def _q_rows(qfns, n: int, x):
+    """``q`` at the points ``x`` for the rows: shape ``(1, x.size)`` for one
+    problem, ``(rows, x.size)`` for several, each repeated over its ``n``
+    lambda."""
+
+    if len(qfns) == 1:
+        return np.broadcast_to(qfns[0](x), x.shape)[None, :]
+    return np.repeat([np.broadcast_to(f(x), x.shape) for f in qfns], n, axis=0)
+
+
+def _propagators(q1, q2, h: float, lam, damp):
+    """The entries ``a, b, c, d`` of the step propagators ``[[a, b], [c,
+    d]] = exp(-damp) exp(Omega)``, shape ``(rows, steps)``, from ``q`` at the
+    two Gauss nodes of each step; ``Omega = [[c0, h], [h abar, -c0]]`` with
+    ``c0 = (sqrt(3) h^2 / 12)(q1 - q2)`` and ``abar = (q1 + q2)/2 - lam``.
+    As ``Omega^2 = s^2 I``, ``exp(Omega) = cosh(s) I + (sinh(s)/s) Omega``;
+    both are formed from ``exp(s - damp)`` and ``exp(-2s)`` (``Re s >= 0``),
+    so the scale ``exp(-damp)`` keeps them finite, and by their series for
+    ``|s| < 1/2``."""
+
+    c0 = (math.sqrt(3.0) / 12.0 * h * h) * (q1 - q2)
+    abar = 0.5 * (q1 + q2) - lam
+    s = c0 * c0 + h * h * abar
+    np.sqrt(s, out=s)  # the principal root: Re s >= 0
+    small = np.abs(s) < 0.5
+    s_small = s[small]
+    s[small] = 1.0
+    half = s - damp
+    np.exp(half, out=half)
+    half *= 0.5
+    back = -2.0 * s
+    np.exp(back, out=back)  # |exp(-2s)| <= 1
+    cosh = back + 1.0
+    cosh *= half
+    sinhc = np.subtract(1.0, back, out=back)
+    sinhc *= half
+    sinhc /= s
+    if s_small.size:
+        scale = np.broadcast_to(np.exp(-damp), s.shape)[small]
+        s2 = s_small * s_small
+        cosh[small] = np.polynomial.polynomial.polyval(s2, _COSH) * scale
+        sinhc[small] = np.polynomial.polynomial.polyval(s2, _SINHC) * scale
+    del s, half
+    t = sinhc * c0
+    a = cosh + t
+    d = np.subtract(cosh, t, out=cosh)
+    c = np.multiply(abar, sinhc, out=abar)
+    c *= h
+    sinhc *= h
+    return a, sinhc, c, d
+
+
+def _fold_onto(a, b, c, d, y):
+    """Apply the product of the step propagators ``[[a, b], [c, d]]``
+    (steps along axis 1, in walk order) to ``y``, shape ``(rows, 2)``,
+    multiplying neighbouring steps pairwise until one is left."""
+
+    late = []  # the odd last step of a round, applied after the rest
+    while a.shape[1] > 1:
+        if a.shape[1] % 2:
+            late.append([t[:, -1].copy() for t in (a, b, c, d)])
+            a, b, c, d = (t[:, :-1] for t in (a, b, c, d))
+        a0, b0, c0, d0 = (t[:, 0::2] for t in (a, b, c, d))
+        a1, b1, c1, d1 = (t[:, 1::2] for t in (a, b, c, d))
+        a, b, c, d = a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0
+    for a, b, c, d in [[t[:, 0] for t in (a, b, c, d)]] + late[::-1]:
+        y = np.stack([a * y[:, 0] + b * y[:, 1], c * y[:, 0] + d * y[:, 1]], axis=1)
+    return y
+
+
+def _magnus_steps(rows: _Rows, qfns, lo: float, hi: float, steps: int, y):
+    """Carry ``y`` (shape ``(rows, 2)``) over ``[lo, hi]`` in ``steps``
+    fourth-order Magnus steps of signed length ``h``, each scaled by
+    ``exp(-mu |h|)``.  The propagators of at most ``_MAGNUS_BLOCK`` steps
+    times rows are built and folded at once."""
+
+    n = rows.lams.size // len(qfns)
+    h = (hi - lo) / steps
+    lam = rows.lams[:, None]
+    damp = (rows.mus * abs(h))[:, None]
+    per_block = max(1, _MAGNUS_BLOCK // rows.lams.size)
+    for k0 in range(0, steps, per_block):
+        k = np.arange(k0, min(steps, k0 + per_block), dtype=float)
+        q1, q2 = (_q_rows(qfns, n, lo + h * (k + node)) for node in _NODES)
+        y = _fold_onto(*_propagators(q1, q2, h, lam, damp), y)
+    return y
+
+
+def _magnus(rows: _Rows, lo: float, hi: float, z, reads):
+    """The Magnus kernel, for end states of ``nu_max = 0`` walks (``z`` of
+    shape ``(rows, 1, 2)``, no ``reads``).
+
+    It tries one step first, exact for a constant ``q``, then 8 steps per
+    unit length (at least 2), doubling, and returns the finer of two step
+    counts ``N`` and ``2N`` once every row has ``max |z_2N - z_N| <= tol
+    max |z_2N|`` or a change within rounding; past ``_MAGNUS_MAX_STEPS``
+    steps it raises ``RuntimeError``.
+    """
+
+    qfns = rows.q_fns(lo, hi)
+    y0 = z[:, 0]
+    # rounding in the step products and in the phase sqrt|lam| |hi - lo|
+    # puts a floor under the change between two step counts
+    phase = np.sqrt(np.abs(rows.lams)) * abs(hi - lo)
+    prev = _magnus_steps(rows, qfns, lo, hi, 1, y0)
+    steps = max(2, math.ceil(8.0 * abs(hi - lo)))
+    while True:
+        y = _magnus_steps(rows, qfns, lo, hi, steps, y0)
+        change, size = np.abs(y - prev).max(axis=1), np.abs(y).max(axis=1)
+        floor = 8.0 * sys.float_info.epsilon * (steps + phase)
+        if np.all(change <= np.maximum(rows.tol, floor) * size):
+            return y[:, None, :], None
+        if 2 * steps > _MAGNUS_MAX_STEPS:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gap = change / size
+            worst = int(np.argmax(np.where(np.isnan(gap), np.inf, gap)))
+            raise RuntimeError(
+                f"Magnus steps on [{lo}, {hi}] do not settle within {steps} steps: "
+                f"relative change {gap[worst]:.3g} > tol = {rows.tol:.3g} "
+                f"at lambda = {complex(rows.lams[worst])}"
+            )
+        prev, steps = y, 2 * steps
 
 
 def _walk(problems: Sequence[Problem], lams, z, a: float, at, *, tol):
@@ -224,11 +420,13 @@ def _walk(problems: Sequence[Problem], lams, z, a: float, at, *, tol):
     ``rows = len(problems) * len(lams)``; the problems must share ``d``.
     Each row sees its own problem's ``q`` and matching.
 
-    ``at`` is ordered along the walk.  A point inside a segment is read from
-    that segment's DOP853 interpolant, which is built only for segments that
-    hold such a point; a point at a segment end gets the integrated state.
-    ``d`` listed once reads the state before the matching; listed twice, the
-    second entry reads the state after it.
+    ``at`` is ordered along the walk.  Each segment goes to one kernel,
+    ``kernel(rows, lo, hi, z, reads)`` with the points ``reads`` strictly
+    inside it: :func:`_magnus` for a ``nu_max = 0`` walk and a segment with
+    no such point, :func:`_dop853` otherwise, which reads its interpolant.
+    A point at a segment end gets the integrated state.  ``d`` listed once
+    reads the state before the matching; listed twice, the second entry
+    reads the state after it.
 
     Returns ``(states, logs)``: the scaled states, shape
     ``(len(at), rows, nu_max+1, 2)``, and their log scales ``mu |x - a|``,
@@ -238,7 +436,6 @@ def _walk(problems: Sequence[Problem], lams, z, a: float, at, *, tol):
     d = problems[0].d
     if any(abs(p.d - d) > 1e-12 for p in problems):
         raise ValueError("problems walked together must share the discontinuity point")
-    n = len(lams)
     lams = np.tile(np.asarray(lams, dtype=complex), len(problems))
     at = np.asarray(at, dtype=float).ravel()
     b = float(at[-1])
@@ -247,8 +444,7 @@ def _walk(problems: Sequence[Problem], lams, z, a: float, at, *, tol):
         raise ValueError("points must be ordered along the walk from its start")
     nu_max = z.shape[1] - 1
     mus = np.array([growth_rate(lam) for lam in lams])
-    mu_signed = (direction * mus)[:, None]
-    lam_col = lams[:, None]
+    rows = _Rows(problems, lams, mus, tol)
     states = np.empty((at.size,) + z.shape, dtype=complex)
     i = 0
     while i < at.size and abs(at[i] - a) <= 1e-12:
@@ -256,30 +452,13 @@ def _walk(problems: Sequence[Problem], lams, z, a: float, at, *, tol):
         i += 1
     path = _ordered_breaks(a, b, [d] + [x for p in problems for x in p.q.breakpoints()])
     for lo, hi in zip(path, path[1:]):
-        qfns = [p.q.piece_fn(min(lo, hi), max(lo, hi)) for p in problems]
-        if len(qfns) == 1:
-            (qfn,) = qfns  # one problem: a scalar q, no stacking per call
-        else:
-
-            def qfn(x, qfns=qfns):
-                return np.repeat([f(x) for f in qfns], n)[:, None]
-
-        def rhs(x, flat, qfn=qfn):
-            zz = flat.reshape(-1, nu_max + 1, 2)
-            out = np.empty_like(zz)
-            out[..., 0] = zz[..., 1] - mu_signed * zz[..., 0]
-            out[..., 1] = (qfn(x) - lam_col) * zz[..., 0] - mu_signed * zz[..., 1]
-            if nu_max:
-                out[:, 1:, 1] -= zz[:, :-1, 0]
-            return out.ravel()
-
         j = i  # at[i:j] lie inside this segment
         while j < at.size and (hi - at[j]) * direction > 1e-12:
             j += 1
-        sol = _integrate(rhs, lo, hi, z.ravel(), tol, dense=j > i)
+        kernel = _dop853 if nu_max or j > i else _magnus
+        z, inside = kernel(rows, lo, hi, z, at[i:j])
         if j > i:
-            states[i:j] = sol.sol(at[i:j]).T.reshape((j - i,) + z.shape)
-        z = sol.y[:, -1].reshape(z.shape).copy()
+            states[i:j] = inside
         i = j
         if i < at.size and abs(at[i] - hi) <= 1e-12:
             states[i] = z
@@ -367,16 +546,20 @@ def wronskian_check(
     ``y1, y2`` is the fundamental pair on ``[r, x0]``: ``y1(r)=1,
     y1'(r)=0`` and ``y2(r)=0, y2'(r)=1``, with the matching at ``d``
     applied if it lies inside.  Its bracket is exactly 1 at ``r`` and is
-    conserved by both the equation and the matching conditions, so this is
-    an end-to-end consistency check of the integrator.  Being a bracket, it
-    runs at ``BRACKET_TOL`` by default: the deviation grows like ``tol``
-    times ``exp(2 |Im sqrt(lam)| (x0 - r))``.
+    conserved by both the equation and the matching conditions.  Being a
+    bracket, it runs at ``BRACKET_TOL`` by default.
 
-    Both solutions are walked together, one walk per grid interval, so each
-    sample is an integrated state: a DOP853 interpolant read inside a
-    segment put up to 1.5e-9 into the bracket at ``tol = 1e-13``, where the
-    integrated states stay below 4e-11 (203 problems, ``Re lam`` in
-    ``[1, 60]``, ``|Im lam| <= 8``).
+    Both solutions are walked together, one walk per grid interval, and
+    only end states are read, so every segment goes to the Magnus kernel.
+    Its step propagators have determinant ``exp(-2 mu |h|)``, which the log
+    scales put back, and the matching has determinant 1, so the bracket is
+    kept to rounding whatever the step count: this no longer measures the
+    accuracy of the steps.  It checks the walk (the log scales, the
+    matching at ``d``, also at a grid point, and the states handed from one
+    walk to the next); the deviation grows like the rounding error times
+    ``exp(2 |Im sqrt(lam)| (x0 - r))``, the cancellation between the pair.
+    The tests witness accuracy against exact transfer-matrix products for a
+    piecewise-constant ``q`` and against DOP853 at ``tol = 1e-13``.
     """
 
     xs = np.linspace(r, x0, n_samples)

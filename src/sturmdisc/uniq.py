@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asympt import _decay_above_floor
+from .asympt import _above_floor, _decay_above_floor
 from .expr import X, BinOp, Const, Piece, Pow, PotentialExpr
 from .charfn import _f_reads, _f_sample, char_delta, delta_many, f_bracket_ray
 from .entire import CountingBound, ProductModel, _ray_lstsq, check_counting_bound, ray_points
@@ -185,7 +185,11 @@ def product_ratio_probe(
     ``exp(-mu (4 pi - 2 b))`` with ``mu = sqrt(y/2)``; the report carries
     the fitted rate with its standard error and whether the tail is
     monotonically decreasing.  The factors are one :func:`delta_many` batch
-    per problem, at ``1e-9 / sqrt(len(ys))``.
+    per problem, at ``1e-9 / sqrt(len(ys))``.  The fit and the tail read
+    only the points where ``F`` clears the noise floor of
+    :func:`bracket_decay_probe`; with fewer than 3 (``F = 0`` for a problem
+    paired with itself) the rate is ``-inf``, decay beyond resolution, and
+    the tail counts as monotone.
     """
 
     ys = ray_points() if ys is None else np.asarray(ys, dtype=float)
@@ -214,15 +218,19 @@ def product_ratio_probe(
             vals, vals_inf, logs = delta_many(prob, lams, tol=1e-9 / math.sqrt(ys.size))
             log_g += np.log(np.abs(vals)) + np.log(np.abs(vals_inf)) + 2.0 * logs
     vals, logs = f_bracket_ray(prob_a, prob_b, b, lams)
-    log_ratios = np.log(np.abs(vals)) + logs - log_g
-    coef, stderr, _ = _ray_lstsq(ys, log_ratios, ("mu", "1"))
-    tail = np.diff(log_ratios) < 0
+    log_f, _, used = _above_floor(prob_a, prob_b, 0.0, b, ys, vals)
+    log_ratios = log_f + logs - log_g
+    rate, stderr, tail = -math.inf, math.nan, []  # F below the noise floor
+    if used.sum() >= 3:
+        coef, errs, _ = _ray_lstsq(ys[used], log_ratios[used], ("mu", "1"))
+        rate, stderr = float(coef[0]), float(errs[0])
+        tail = np.diff(log_ratios[used]) < 0
     return RatioReport(
         ys=ys,
         log_ratios=log_ratios,
         expected_rate=-(4 * math.pi - 2 * b),
-        fitted_rate=float(coef[0]),
-        rate_stderr=float(stderr[0]),
-        monotone_tail=bool(tail[max(0, tail.size - 4):].all()),
+        fitted_rate=rate,
+        rate_stderr=stderr,
+        monotone_tail=bool(np.all(tail[-4:])),
         counting=counting,
     )

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sturmdisc.expr import (
@@ -121,6 +121,8 @@ class TestNonFinite:
         PotentialExpr.parse("1/(x^2 + 1)")
 
     @given(expressions())
+    # x/0 is a constant divisor 0, and (x/0)^0 evaluates to 1 everywhere
+    @example("(((x) + (x)) + ((x) + (x))) / (((x) / (0.000))^0)")
     @settings(max_examples=120, deadline=None)
     def test_parse_gives_finite_values_or_expr_error(self, src):
         try:

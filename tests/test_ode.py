@@ -6,16 +6,17 @@ import inspect
 import math
 import pkgutil
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_charfn import consistency_setups
+from test_charfn import consistency_setups, free_jump_scaled
 
 import sturmdisc
 from sturmdisc import ode
-from sturmdisc.charfn import _deltas, char_delta, delta_consistency, f_function
-from sturmdisc.expr import PotentialExpr
+from sturmdisc.charfn import _deltas, char_delta, delta_consistency, delta_many, f_function
+from sturmdisc.expr import Const, Piece, PotentialExpr
 from sturmdisc.norming import compute_norming
 from sturmdisc.ode import (
     BRACKET_TOL,
@@ -309,6 +310,21 @@ class TestDenseOutput:
         monkeypatch.setattr(ode, "solve_ivp", spy)
         return calls
 
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        """``(kernel, (lo, hi), has reads)`` for each segment a walk hands
+        to a kernel; only the DOP853 kernel builds interpolants."""
+
+        calls = []
+        for name in ("_dop853", "_magnus"):
+
+            def spy(rows, lo, hi, z, reads, real=getattr(ode, name), name=name):
+                calls.append((name, (lo, hi), reads.size > 0))
+                return real(rows, lo, hi, z, reads)
+
+            monkeypatch.setattr(ode, name, spy)
+        return calls
+
     def test_end_state_readers(self, ivp_calls):
         p = Problem(q="sin(x)", h=0.3, H=0.1, beta=1.5, gamma=0.2j)
         char_delta(p, 9.0 + 1j, nu_max=1)
@@ -316,27 +332,30 @@ class TestDenseOutput:
         assert ivp_calls
         assert not any(dense for _, dense in ivp_calls)
 
-    def test_norming_phi_solve(self, ivp_calls):
+    def test_norming_phi_solve(self, kernels):
         compute_norming(free_problem(), EigenRecord(lam=4.0 + 0j, multiplicity=1, residual=0.0))
-        # phi runs left to right and is read at pi only; psi runs right to
-        # left and feeds the alpha integrals
-        phi = [dense for (a, b), dense in ivp_calls if a < b]
-        psi = [dense for (a, b), dense in ivp_calls if a > b]
-        assert phi and not any(phi)
-        assert psi and all(psi)
+        # phi runs left to right and is read at pi only, so no interpolant:
+        # its end states come from Magnus; psi runs right to left and feeds
+        # the alpha integrals, read from DOP853 interpolants
+        phi = [(name, reads) for name, (a, b), reads in kernels if a < b]
+        psi = [(name, reads) for name, (a, b), reads in kernels if a > b]
+        assert phi and all(kernel == ("_magnus", False) for kernel in phi)
+        assert psi and all(kernel == ("_dop853", True) for kernel in psi)
 
-    def test_bracket_reads(self, ivp_calls):
+    def test_bracket_reads(self, kernels):
         p = Problem(q="sin(x)", h=0.3, H=0.1, beta=1.5, gamma=0.2j, d=PI / 2)
         pb = modify_below(p, p.d, m=0, weight=0.4, dh=0.2)
-        # d-0, d+0 and pi are segment ends of both walks
+        # d-0, d+0 and pi are segment ends of both walks: no interpolant
         f_function(p, pb, 5.0)
         collapse_consistency(p, pb, p.d, lams=[5.0])
-        assert ivp_calls
-        assert not any(dense for _, dense in ivp_calls)
+        assert kernels
+        assert not any(reads for _, _, reads in kernels)
         # b = 2 ends a segment of the perturbed walk only
-        ivp_calls.clear()
+        kernels.clear()
         f_function(p, modify_below(p, 2.0, m=0, weight=0.4), 5.0, at=2.0)
-        assert [span for span, dense in ivp_calls if dense] == [(PI / 2, PI)]
+        assert [(span, reads) for name, span, reads in kernels if name == "_dop853"] == [
+            ((PI / 2, PI), True)
+        ]
 
 
 class TestDerivativeChain:
@@ -516,3 +535,114 @@ class TestAccuracyArgument:
             assert not params & {"rtol", "atol"}, qualname
             takes[qualname] = "tol" in params
         assert {name for name, has in takes.items() if has} == self.TAKES_TOL
+
+
+def _exact_end_state(problem, cuts, values, lam):
+    """``(phi(pi), phi'(pi))`` of a piecewise-constant ``q`` (``values[k]``
+    on ``[cuts[k], cuts[k+1]]``) as the mpmath product of the exact transfer
+    matrices ``[[cos s l, sin s l / s], [-s sin s l, cos s l]]``, ``s =
+    sqrt(lam - c)``, and of the matching at ``d``."""
+
+    edges = sorted(set(cuts) | {problem.d, PI})
+    y, dy = mpmath.mpc(1), mpmath.mpc(problem.h)
+    for lo, hi in zip(edges, edges[1:]):
+        c = values[max(k for k in range(len(values)) if cuts[k] <= lo)]
+        s = mpmath.sqrt(mpmath.mpc(lam) - mpmath.mpc(c))
+        arg = s * (mpmath.mpf(hi) - mpmath.mpf(lo))
+        cos, sin = mpmath.cos(arg), mpmath.sin(arg)
+        y, dy = cos * y + sin / s * dy, -s * sin * y + cos * dy
+        if hi == problem.d:
+            y, dy = problem.beta * y, dy / problem.beta + mpmath.mpc(problem.gamma) * y
+    return y, dy
+
+
+@st.composite
+def piecewise_constant_setups(draw):
+    """A problem with ``q`` constant on up to four pieces (complex values)
+    and three lambda with ``|lam|`` from 1 to ``1e6`` in any direction."""
+
+    cuts = sorted(draw(st.lists(st.floats(0.1, PI - 0.1), max_size=3)))
+    edges = [0.0] + cuts + [PI]
+    assume(min(b - a for a, b in zip(edges, edges[1:])) > 0.05)
+    values = [complex(draw(st.floats(-20.0, 20.0)), draw(st.floats(-5.0, 5.0)))
+              for _ in cuts + [PI]]
+    q = PotentialExpr([Piece(lo, hi, Const(c)) for lo, hi, c in zip(edges, edges[1:], values)])
+    problem = Problem(
+        q=q,
+        h=draw(complex_in(-1.0, 1.0)),
+        H=draw(st.one_of(st.none(), complex_in(-1.0, 1.0))),
+        beta=draw(st.floats(0.4, 3.0)),
+        gamma=draw(complex_in(-1.0, 1.0)),
+        d=draw(st.floats(0.3, PI - 0.3)),
+    )
+    lams = [10.0 ** draw(st.floats(0.0, 6.0)) * cmath.exp(1j * draw(st.floats(-PI, PI)))
+            for _ in range(3)]
+    return problem, edges[:-1], values, lams
+
+
+class TestMagnusKernel:
+    """Witnesses for the Magnus kernel that serves the end states of
+    ``nu_max = 0`` walks.  Its step propagators have determinant 1, so the
+    Wronskian no longer measures its accuracy; these tests do."""
+
+    @given(piecewise_constant_setups())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_on_piecewise_constant_q(self, setup):
+        problem, cuts, values, lams = setup
+        vals, vals_inf, logs = delta_many(problem, lams)
+        with mpmath.workdps(30):
+            for k, lam in enumerate(lams):
+                sample = char_delta(problem, lam)
+                y, dy = _exact_end_state(problem, cuts, values, lam)
+                H = 0 if problem.dirichlet else problem.H
+                want = -y if problem.dirichlet else dy + H * y
+                # relative to the size of the end state, so a lambda next to
+                # an eigenvalue is measured at the scale it is computed at
+                sigma = math.sqrt(max(abs(lam), 1.0))
+                size = mpmath.sqrt(abs(y) ** 2 + abs(dy / sigma) ** 2)
+                scales = (max(abs(want), size * (sigma + abs(H))), max(abs(y), size))
+                bound = 5e-11 * math.sqrt(abs(lam))
+                for got, exact, scale in zip(
+                    ((sample.delta, vals[k]), (sample.delta_inf, vals_inf[k])),
+                    (want, -y),
+                    scales,
+                ):
+                    for val, log in ((got[0].val, got[0].log), (got[1], logs[k])):
+                        err = abs(mpmath.mpc(val) * mpmath.exp(log) - exact) / scale
+                        assert err < bound
+
+    @given(
+        st.floats(-5.0, 5.0), st.integers(1, 4), st.floats(-5.0, 5.0),
+        st.floats(0.0, 4.0), st.floats(-PI, PI), complex_in(-1.0, 1.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_smooth_q_matches_dop853(self, a, k, c, decade, angle, h):
+        p = Problem(q="%.4f * sin(%d * x) + %.4f" % (a, k, c), h=h, H=0.3, beta=1.5,
+                    gamma=0.2j)
+        lam = 10.0**decade * cmath.exp(1j * angle)
+        got = char_delta(p, lam)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ode, "_magnus", ode._dop853)
+            want = char_delta(p, lam, tol=1e-13)
+        assert got.delta.log == want.delta.log
+        scale = max(abs(want.delta.val), abs(want.phi_end.val), abs(want.dphi_end.val))
+        assert abs(got.delta.val - want.delta.val) < 5e-11 * math.sqrt(abs(lam)) * scale
+
+    def test_free_jump_error_is_lambda_uniform(self):
+        # the DOP853 kernel at TOL erred by 1.1e-10 at 1e2 i and by 1.4e-8
+        # at 1e6 i; what is left is rounding in the phase pi sqrt|lam|, which
+        # the closed form shares
+        data = dict(h=0.3, H=0.1, beta=1.5, gamma=0.2j, d=PI / 2)
+        p = Problem(q="0", **data)
+        for k in range(2, 7):
+            lam = 1j * 10.0**k
+            sample = char_delta(p, lam)
+            growth = PI * cmath.sqrt(lam).imag
+            for got, want in zip((sample.delta, sample.delta_inf), free_jump_scaled(lam, **data)):
+                assert abs(got.val * math.exp(got.log - growth) - want) < 1e-12 * abs(want)
+
+    def test_step_count_limit_names_the_segment(self):
+        # a non-finite state never settles
+        p = free_problem()
+        with pytest.raises(RuntimeError, match=r"on \[0.0, 1.5707.*lambda = \(4\+0j\)"):
+            ode._walk([p], [4.0], np.full((1, 1, 2), np.nan, dtype=complex), 0.0, [PI], tol=TOL)

@@ -115,8 +115,12 @@ class TestCollapsedEvaluation:
         lams = self.LAMS[:4]
         want = []
         for lam in lams:
-            ref = f_function(p, pb, complex(lam), at="pi").F
-            col = f_function(p, pb, complex(lam), at=b).F
+            # one read set that holds both b and pi: b inside a segment takes
+            # that segment to another kernel, so f_function at "pi" alone
+            # would not reproduce these reads bit for bit
+            reads = charfn._f_reads(p, pb, complex(lam), b)
+            ref = charfn._f_sample(reads, p.d, complex(lam), "pi").F
+            col = charfn._f_sample(reads, p.d, complex(lam), b).F
             want.append(math.exp((ref - col).log_abs - max(ref.log_abs, col.log_abs)))
         calls = []
 
@@ -203,6 +207,17 @@ class TestRatioProbe:
         quarter = Problem(q=PotentialExpr.parse("-0.25"))
         with pytest.raises(ValueError, match=r"problem_b: delta_inf\(0\) = 0"):
             product_ratio_probe(Problem(q=PotentialExpr.parse("1")), quarter, 2.0, ys=ys)
+
+    def test_identical_pair_decays_beyond_resolution(self):
+        # F = 0: no point clears the noise floor the decay probes share, so
+        # there is no rate to fit and the tail passes, with no warning
+        p = Problem(q=PotentialExpr.parse("1"), h=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = product_ratio_probe(p, p, 2.0, ys=np.geomspace(1e2, 1e3, 3))
+        assert rep.fitted_rate == -math.inf
+        assert math.isnan(rep.rate_stderr)
+        assert rep.monotone_tail
 
     def test_exact_products_rate(self):
         b = 2.0
