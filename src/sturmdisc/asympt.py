@@ -36,14 +36,6 @@ def term_sign(j: int) -> float:
     return -1.0 if j % 4 in (0, 1) else 1.0
 
 
-def nu_kernel(j: int, x, lam: complex):
-    """``sin(sqrt(lam) x)/(2 sqrt(lam))^j`` for even j, cosine for odd j."""
-
-    s = cmath.sqrt(lam)
-    base = np.sin(s * np.asarray(x)) if j % 2 == 0 else np.cos(s * np.asarray(x))
-    return base / (2 * s) ** j
-
-
 # ---------------------------------------------------------------------------
 # Representation backends for the coefficient functions
 # ---------------------------------------------------------------------------
@@ -212,24 +204,6 @@ def build_expansion(q, m: int) -> ExpansionTable:
     return ExpansionTable(m=m, backend=B, f=f, a=a, b=b, path=path)
 
 
-def y2_model(table: ExpansionTable, x: float, lam: complex) -> complex:
-    """Kernel-expansion approximation of the sine-normalized solution."""
-
-    s = cmath.sqrt(lam)
-    total = cmath.sin(s * x) / s
-    for j in range(1, table.m + 3):
-        total += table.a_at(j, x) * complex(nu_kernel(j, x, lam)) / s
-    return total
-
-
-def dy2_model(table: ExpansionTable, x: float, lam: complex) -> complex:
-    s = cmath.sqrt(lam)
-    total = cmath.cos(s * x)
-    for j in range(0, table.m + 2):
-        total += table.b_at(j, x) * complex(nu_kernel(j, x, lam)) / s
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Iterated-kernel series
 # ---------------------------------------------------------------------------
@@ -267,20 +241,6 @@ def s_series(q, xs, lam: complex, p_max: int):
         S.append((sin_x * ic - cos_x * isn) / s)
         C.append(cos_x * ic + sin_x * isn)
     return S, C
-
-
-def s_tail_envelope(q, x: float, lam: complex, p: int, m: int) -> float:
-    """The a-priori envelope ``exp(|Im sqrt(lam)| x) (int_0^x |q|)^p / p! /
-    |sqrt(lam)|^{m+4}`` valid for the tail terms ``p >= m+3``."""
-
-    if isinstance(q, str):
-        q = PotentialExpr.parse(q, length=max(x, math.pi))
-    xs = np.linspace(0.0, x, 801)
-    qint = float(np.trapezoid(np.abs(q(xs)), xs))
-    s = cmath.sqrt(lam)
-    return (
-        math.exp(abs(s.imag) * x) * qint**p / math.factorial(p) / abs(s) ** (m + 4)
-    )
 
 
 # ---------------------------------------------------------------------------

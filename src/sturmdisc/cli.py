@@ -23,7 +23,6 @@ from .charfn import char_delta, delta_consistency, delta_many
 from .config import ConfigError, RunConfig, get_complex_list, get_int, get_real, load_config
 from .entire import doubling_check, fit_constant, growth_fit, ray_points
 from .norming import check_identity, compute_norming
-from .ode import TOL
 from .spectrum import ZeroSequence, find_eigenvalues
 from .uniq import collapse_consistency, bracket_decay_probe, product_ratio_probe
 
@@ -145,8 +144,7 @@ def _run_growth(cfg: RunConfig):
     ys = ray_points(y_lo, y_hi, per_decade) if per_decade > 0 else []
     _check(len(ys) >= 3, "$.growth.per_decade",
            f"gives {len(ys)} ray points; the growth fit needs at least 3")
-    # one batch at TOL / sqrt(n) keeps each point within a one-lambda solve's error
-    vals, vals_inf, scales = delta_many(p, 1j * ys, tol=TOL / math.sqrt(ys.size))
+    vals, vals_inf, scales = delta_many(p, 1j * ys)
     logs = np.log(np.abs(vals if target == "delta" else vals_inf)) + scales
     fit = growth_fit(ys, logs)
     preds = fit.c * np.sqrt(ys / 2.0) + fit.p * np.log(ys) + fit.const

@@ -26,21 +26,13 @@ jump at ``d`` and returns the states at the points it is asked for.
 :func:`solve_many` runs it on a batch and reads the far end only;
 :func:`solve_chain` runs it on one lambda and reads a list of points
 (``b``, ``d-0``, ``d+0`` and ``pi`` for the bracket ``F``, the quadrature
-nodes of the norming integrals).  The walk hands each segment between
-breakpoints to one of two kernels:
-
-* ``_magnus``, a fourth-order Magnus scheme with two Gauss nodes per step,
-  serves every segment of a ``nu_max = 0`` walk with no point to read
-  strictly inside it: the end states of :func:`solve_many` (so ``delta``
-  on contours and rays), the Wronskian grid and the skip-ahead of
-  :func:`pair_integrals`.  It is exact on a constant piece of ``q``, and
-  its error does not grow with ``|lam|``.
-* ``_dop853``, scipy's DOP853 through ``_integrate``, serves the rest: the
-  lambda-derivative chains (``nu_max >= 1``: Newton steps, multiplicities,
-  the derivative identity), which need the Fréchet derivative of the step
-  exponential, and segments with a point inside, which it reads from an
-  interpolant (the norming ``psi``, the nodes of :func:`pair_integrals`,
-  ``F`` at ``b``), which would need a partial Magnus step.
+nodes of the norming integrals).  Each segment between breakpoints goes to
+one kernel, ``_magnus``, a fourth-order Magnus scheme with two Gauss nodes
+per step, exact on a constant piece of ``q`` and with an error that does not
+grow with ``|lam|``.  Its step exponential is ``C(w) I + S(w) Omega`` with
+``Omega^2 = w I``; the chain members are the Taylor coefficients in lambda
+of the step products.  A point strictly inside a segment is one partial
+step from the start of the step that holds it.
 
 The bracket ``y*z' - y'*z`` of solutions of two nearby problems is
 exponentially smaller than its factors, so :func:`pair_integrals` does not
@@ -51,20 +43,16 @@ avoids the catastrophic cancellation of forming the difference afterwards.
 Accuracy is one argument, ``tol``.  ``TOL`` is the default;
 ``BRACKET_TOL`` serves the brackets of two solutions (the Wronskian, ``F``
 and its ray probes), which lose digits to the cancellation between their
-factors.  Each kernel reads ``tol`` its own way:
-
-* DOP853 runs at ``rtol = tol`` and ``atol = tol / 100``.  A batch of ``n``
-  lambda shares one step sequence whose error norm is the RMS over the
-  batch, so each lambda keeps the error of a one-lambda solve at ``tol /
-  sqrt(n)``: :func:`pair_integrals` divides by ``sqrt(n)`` itself, and the
-  ray callers of :func:`solve_many` pass the divided ``tol``.
-* Magnus takes one step over the segment first, then 8 steps per unit
-  length, doubling, and keeps the result of ``2N`` steps once every row
-  has ``max |z_2N - z_N| <= tol max |z_2N|``, or a change no larger than
-  the rounding ``8 eps (2N + sqrt|lam| |hi - lo|)`` of the step products
-  and the phase.  Past ``2**16`` steps it raises ``RuntimeError`` naming
-  the segment and the worst lambda.  Rows are judged one by one, so a
-  divided ``tol`` only asks a batch for more than it needs.
+factors.  On each segment the kernel takes one step first, then 8 steps
+per unit length, doubling, and keeps the result of ``2N`` steps once every
+row has ``max |z_2N - z_N| <= tol max |z_2N|`` over its whole chain, with
+``y'`` weighed by ``1 / sqrt(max(|lam|, 1))``, or a change no larger than
+the rounding ``8 eps (2N + sqrt|lam| |hi - lo|)`` of the step products and
+the phase: first at the segment's end, then at the reads inside it, so
+that reading a point leaves the end state as it is.
+Past ``2**16`` steps it raises ``RuntimeError`` naming the segment and the
+worst lambda.  Rows are judged one by one, so one ``tol`` serves a batch of
+any size.
 """
 
 from __future__ import annotations
@@ -76,7 +64,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# never called here: the benchmark tracer (perfbench/tracing.py) patches this name
+from scipy.integrate import solve_ivp  # noqa: F401
 
 from .problem import Problem
 
@@ -222,18 +211,6 @@ def _start(problem: Problem, side: str, n: int, nu_max: int):
     return z, math.pi, 0.0
 
 
-def _integrate(rhs, lo: float, hi: float, y0, tol: float, dense: bool = False):
-    """One DOP853 solve over ``[lo, hi]``; the one place a tolerance reaches
-    DOP853, as ``rtol = tol`` and ``atol = tol / 100``."""
-
-    sol = solve_ivp(
-        rhs, (lo, hi), y0, method="DOP853", dense_output=dense, rtol=tol, atol=tol * 1e-2
-    )
-    if not sol.success:
-        raise RuntimeError(f"integration failed on [{lo}, {hi}]: {sol.message}")
-    return sol
-
-
 class _Rows(NamedTuple):
     """The rows of one walk: the lambda of the batch for each problem in
     turn, their rates ``mu`` and the walk's ``tol``."""
@@ -247,42 +224,12 @@ class _Rows(NamedTuple):
         return [p.q.piece_fn(min(lo, hi), max(lo, hi)) for p in self.problems]
 
 
-def _dop853(rows: _Rows, lo: float, hi: float, z, reads):
-    """The DOP853 kernel: one :func:`_integrate` over the segment, with an
-    interpolant, read at ``reads``, only when there are reads.  Returns the
-    end state and the states at ``reads``."""
-
-    nu_max = z.shape[1] - 1
-    mu_signed = ((1.0 if hi >= lo else -1.0) * rows.mus)[:, None]
-    lam_col = rows.lams[:, None]
-    qfns = rows.q_fns(lo, hi)
-    if len(qfns) == 1:
-        (qfn,) = qfns  # one problem: a scalar q, no stacking per call
-    else:
-        n = rows.lams.size // len(qfns)
-
-        def qfn(x):
-            return np.repeat([f(x) for f in qfns], n)[:, None]
-
-    def rhs(x, flat):
-        zz = flat.reshape(-1, nu_max + 1, 2)
-        out = np.empty_like(zz)
-        out[..., 0] = zz[..., 1] - mu_signed * zz[..., 0]
-        out[..., 1] = (qfn(x) - lam_col) * zz[..., 0] - mu_signed * zz[..., 1]
-        if nu_max:
-            out[:, 1:, 1] -= zz[:, :-1, 0]
-        return out.ravel()
-
-    sol = _integrate(rhs, lo, hi, z.ravel(), rows.tol, dense=reads.size > 0)
-    states = sol.sol(reads).T.reshape(reads.shape + z.shape) if reads.size else None
-    return sol.y[:, -1].reshape(z.shape).copy(), states
-
-
 # the two Gauss nodes of a Magnus step, as fractions of the step
 _NODES = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
 _COSH = [1.0 / math.factorial(2 * k) for k in range(9)]  # series in s^2
 _SINHC = [1.0 / math.factorial(2 * k + 1) for k in range(9)]
-_MAGNUS_BLOCK = 1 << 13  # step-lambda propagators built and folded at once
+_ETA_SERIES = 16.0  # |s^2| below which eta_k, k >= 1, is summed from its series
+_MAGNUS_BLOCK = 1 << 13  # step-lambda-member propagators built and folded at once
 _MAGNUS_MAX_STEPS = 1 << 16
 
 
@@ -296,20 +243,29 @@ def _q_rows(qfns, n: int, x):
     return np.repeat([np.broadcast_to(f(x), x.shape) for f in qfns], n, axis=0)
 
 
-def _propagators(q1, q2, h: float, lam, damp):
-    """The entries ``a, b, c, d`` of the step propagators ``[[a, b], [c,
-    d]] = exp(-damp) exp(Omega)``, shape ``(rows, steps)``, from ``q`` at the
-    two Gauss nodes of each step; ``Omega = [[c0, h], [h abar, -c0]]`` with
-    ``c0 = (sqrt(3) h^2 / 12)(q1 - q2)`` and ``abar = (q1 + q2)/2 - lam``.
-    As ``Omega^2 = s^2 I``, ``exp(Omega) = cosh(s) I + (sinh(s)/s) Omega``;
-    both are formed from ``exp(s - damp)`` and ``exp(-2s)`` (``Re s >= 0``),
-    so the scale ``exp(-damp)`` keeps them finite, and by their series for
-    ``|s| < 1/2``."""
+def _propagators(q1, q2, h, lam, damp, order: int):
+    """The Taylor coefficients in lambda, up to ``order``, of the step
+    propagators ``[[a, b], [c, d]] = exp(-damp) exp(Omega)``, four arrays of
+    shape ``(order+1, rows, steps)``, from ``q`` at the Gauss nodes of each
+    step of signed length ``h`` (one number, or one per step).
+
+    ``Omega = [[c0, h], [h abar, -c0]]``, ``c0 = (sqrt(3) h^2 / 12)(q1 -
+    q2)``, ``abar = (q1 + q2)/2 - lam``, squares to ``w I``, ``w = s^2 = c0^2
+    + h^2 abar``, so ``exp(Omega) = C I + S Omega`` with ``C = cosh s`` and
+    ``S = sinh(s)/s``, formed from ``exp(s - damp)`` and ``exp(-2s)`` (``Re s
+    >= 0``) or, for ``|s| < 1/2``, their series.  As ``dw/dlam = -h^2`` and
+    ``dOmega/dlam = [[0, 0], [-h, 0]]``, coefficient ``k`` is ``C_k I + S_k
+    Omega + S_{k-1} [[0, 0], [-h, 0]]`` with ``C_k = (-h^2/2)^k eta_{k-1}(w)
+    / k!`` and ``S_k = (-h^2/2)^k eta_k(w) / k!``, where ``eta_{-1} = C``,
+    ``eta_0 = S`` and ``eta_k = (eta_{k-2} - (2k-1) eta_{k-1}) / w`` obey
+    ``eta_k' = eta_{k+1} / 2`` (Ixaru's functions of the CP methods); for
+    ``|w| < _ETA_SERIES`` that recursion loses digits, and ``eta_k`` is
+    summed from its series."""
 
     c0 = (math.sqrt(3.0) / 12.0 * h * h) * (q1 - q2)
     abar = 0.5 * (q1 + q2) - lam
-    s = c0 * c0 + h * h * abar
-    np.sqrt(s, out=s)  # the principal root: Re s >= 0
+    w = c0 * c0 + h * h * abar
+    s = np.sqrt(w, out=None if order else w)  # the principal root: Re s >= 0
     small = np.abs(s) < 0.5
     s_small = s[small]
     s[small] = 1.0
@@ -329,85 +285,168 @@ def _propagators(q1, q2, h: float, lam, damp):
         cosh[small] = np.polynomial.polynomial.polyval(s2, _COSH) * scale
         sinhc[small] = np.polynomial.polynomial.polyval(s2, _SINHC) * scale
     del s, half
+    eta = [cosh, sinhc]  # eta_{-1}, eta_0, ..., all scaled by exp(-damp)
+    if order:
+        near = np.abs(w) < _ETA_SERIES
+        w_far = np.where(near, 1.0, w)
+        w_near = w[near]
+        scale = np.broadcast_to(np.exp(-damp), w.shape)[near]
+        for k in range(1, order + 1):
+            e = (eta[-2] - (2 * k - 1) * eta[-1]) / w_far
+            # eta_k(w) = 2^k sum_j (j+k)!/j! w^j / (2j+2k+1)!, 18 terms for |w| < 16
+            series = [2.0**k * math.perm(j + k, k) / math.factorial(2 * j + 2 * k + 1)
+                      for j in range(18)]
+            e[near] = np.polynomial.polynomial.polyval(w_near, series) * scale
+            eta.append(e)
     t = sinhc * c0
-    a = cosh + t
-    d = np.subtract(cosh, t, out=cosh)
-    c = np.multiply(abar, sinhc, out=abar)
-    c *= h
-    sinhc *= h
-    return a, sinhc, c, d
+    a, d = [cosh + t], [np.subtract(cosh, t, out=t)]
+    c = [np.multiply(abar, sinhc, out=None if order else abar)]
+    c[0] *= h
+    b = [np.multiply(sinhc, h, out=None if order else sinhc)]
+    coef, s_prev = 1.0, sinhc
+    for k in range(1, order + 1):
+        coef = coef * (-0.5 * h * h / k)
+        ck, sk = coef * eta[k], coef * eta[k + 1]  # C_k, S_k
+        t = sk * c0
+        a.append(ck + t)
+        d.append(ck - t)
+        b.append(sk * h)
+        c.append((sk * abar - s_prev) * h)
+        s_prev = sk
+    return tuple(x[0][None] if order == 0 else np.stack(x) for x in (a, b, c, d))
 
 
-def _fold_onto(a, b, c, d, y):
-    """Apply the product of the step propagators ``[[a, b], [c, d]]``
-    (steps along axis 1, in walk order) to ``y``, shape ``(rows, 2)``,
-    multiplying neighbouring steps pairwise until one is left."""
+def _conv(x, y):
+    """The product of two power series in lambda, coefficients along axis
+    0, truncated at the length of ``y``."""
 
-    late = []  # the odd last step of a round, applied after the rest
-    while a.shape[1] > 1:
-        if a.shape[1] % 2:
-            late.append([t[:, -1].copy() for t in (a, b, c, d)])
-            a, b, c, d = (t[:, :-1] for t in (a, b, c, d))
-        a0, b0, c0, d0 = (t[:, 0::2] for t in (a, b, c, d))
-        a1, b1, c1, d1 = (t[:, 1::2] for t in (a, b, c, d))
-        a, b, c, d = a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0
-    for a, b, c, d in [[t[:, 0] for t in (a, b, c, d)]] + late[::-1]:
-        y = np.stack([a * y[:, 0] + b * y[:, 1], c * y[:, 0] + d * y[:, 1]], axis=1)
-    return y
+    out = x[0] * y
+    for j in range(1, x.shape[0]):
+        out[j:] += x[j] * y[:-j]
+    return out
 
 
-def _magnus_steps(rows: _Rows, qfns, lo: float, hi: float, steps: int, y):
-    """Carry ``y`` (shape ``(rows, 2)``) over ``[lo, hi]`` in ``steps``
-    fourth-order Magnus steps of signed length ``h``, each scaled by
-    ``exp(-mu |h|)``.  The propagators of at most ``_MAGNUS_BLOCK`` steps
-    times rows are built and folded at once."""
+def _apply(p, y):
+    """The propagator series ``p = (a, b, c, d)`` applied to the chain ``y =
+    (u, v)`` of values and derivatives."""
+
+    a, b, c, d = p
+    u, v = y
+    return _conv(a, u) + _conv(b, v), _conv(c, u) + _conv(d, v)
+
+
+def _mul(p1, p0):
+    """The propagator series ``p1 p0``, ``p0`` first: ``p1`` applied to each
+    column of ``p0``."""
+
+    (a, c), (b, d) = _apply(p1, p0[0::2]), _apply(p1, p0[1::2])
+    return a, b, c, d
+
+
+def _sweep(p, y, starts: bool):
+    """The product of the step propagators ``p`` (steps along the last axis,
+    in walk order) applied to the chain ``y``, multiplying neighbouring
+    steps pairwise until one is left, and, with ``starts``, the chain at the
+    start of every step, from walking those levels back down."""
+
+    levels = []
+    while p[0].shape[-1] > 1:
+        n = p[0].shape[-1]
+        paired = n - n % 2
+        up = _mul(tuple(t[..., 1:paired:2] for t in p), tuple(t[..., 0:paired:2] for t in p))
+        if n % 2:  # the odd last step joins the last pair
+            last = _mul(tuple(t[..., -1:] for t in p), tuple(t[..., -1:] for t in up))
+            for t, j in zip(up, last):
+                t[..., -1:] = j
+        if starts:
+            levels.append(p)
+        p = up
+    end = _apply([t[..., 0] for t in p], y)
+    at = [v[..., None] for v in y]  # the chain at the start of each element
+    for p in reversed(levels):
+        n = p[0].shape[-1]
+        odd = _apply([t[..., 0 : n - n % 2 : 2] for t in p], at)
+        at = [np.stack(v, axis=-1).reshape(v[0].shape[:-1] + (-1,)) for v in zip(at, odd)]
+        if n % 2:
+            last = _apply([t[..., -2:-1] for t in p], [v[..., -1:] for v in at])
+            at = [np.concatenate(v, axis=-1) for v in zip(at, last)]
+    return end, at if starts else None
+
+
+def _magnus_steps(rows: _Rows, qfns, lo: float, hi: float, steps: int, y, reads):
+    """The states, shape ``(reads.size + 1, rows, order+1, 2)``, at the
+    points ``reads`` and then at ``hi`` of the chain ``y = (u, v)`` (each
+    ``(order+1, rows)``) carried from ``lo`` in ``steps`` Magnus steps of
+    signed length ``h``, each scaled by ``exp(-mu |h|)``.  A read is one
+    partial step from the start of the step that holds it.  At most
+    ``_MAGNUS_BLOCK`` steps (or reads) times rows times chain members are
+    built at once."""
 
     n = rows.lams.size // len(qfns)
+    order = y[0].shape[0] - 1
     h = (hi - lo) / steps
-    lam = rows.lams[:, None]
-    damp = (rows.mus * abs(h))[:, None]
-    per_block = max(1, _MAGNUS_BLOCK // rows.lams.size)
+    lam, mus = rows.lams[:, None], rows.mus[:, None]
+    held = np.clip(np.floor((reads - lo) / h), 0, steps - 1).astype(int)
+    out = np.empty((reads.size + 1, rows.lams.size, order + 1, 2), dtype=complex)
+    per_block = max(1, _MAGNUS_BLOCK // (rows.lams.size * (order + 1)))
     for k0 in range(0, steps, per_block):
-        k = np.arange(k0, min(steps, k0 + per_block), dtype=float)
+        k1 = min(steps, k0 + per_block)
+        k = np.arange(k0, k1, dtype=float)
         q1, q2 = (_q_rows(qfns, n, lo + h * (k + node)) for node in _NODES)
-        y = _fold_onto(*_propagators(q1, q2, h, lam, damp), y)
-    return y
+        i0, i1 = np.searchsorted(held, [k0, k1])
+        y_end, at = _sweep(_propagators(q1, q2, h, lam, mus * abs(h), order), y, i1 > i0)
+        for r0 in range(i0, i1, per_block):
+            r1 = min(i1, r0 + per_block)
+            x0 = lo + h * held[r0:r1]
+            t = reads[r0:r1] - x0
+            q1, q2 = (_q_rows(qfns, n, x0 + t * node) for node in _NODES)
+            part = _propagators(q1, q2, t, lam, mus * np.abs(t), order)
+            u, v = _apply(part, [s[..., held[r0:r1] - k0] for s in at])
+            out[r0:r1, ..., 0], out[r0:r1, ..., 1] = u.transpose(2, 1, 0), v.transpose(2, 1, 0)
+        y = y_end
+    out[-1, ..., 0], out[-1, ..., 1] = y[0].T, y[1].T
+    return out
 
 
 def _magnus(rows: _Rows, lo: float, hi: float, z, reads):
-    """The Magnus kernel, for end states of ``nu_max = 0`` walks (``z`` of
-    shape ``(rows, 1, 2)``, no ``reads``).
-
-    It tries one step first, exact for a constant ``q``, then 8 steps per
-    unit length (at least 2), doubling, and returns the finer of two step
-    counts ``N`` and ``2N`` once every row has ``max |z_2N - z_N| <= tol
-    max |z_2N|`` or a change within rounding; past ``_MAGNUS_MAX_STEPS``
-    steps it raises ``RuntimeError``.
-    """
+    """The walk's kernel: ``(end, states)``, the chain ``z`` (shape ``(rows,
+    order+1, 2)``) carried over the segment ``[lo, hi]`` and read at the
+    points ``reads`` strictly inside it, by the step rule of the module
+    docstring.  The reads start from the two step counts that settled the
+    end state and double on until they settle too."""
 
     qfns = rows.q_fns(lo, hi)
-    y0 = z[:, 0]
+    y0 = z[..., 0].T, z[..., 1].T
     # rounding in the step products and in the phase sqrt|lam| |hi - lo|
     # puts a floor under the change between two step counts
     phase = np.sqrt(np.abs(rows.lams)) * abs(hi - lo)
-    prev = _magnus_steps(rows, qfns, lo, hi, 1, y0)
-    steps = max(2, math.ceil(8.0 * abs(hi - lo)))
-    while True:
-        y = _magnus_steps(rows, qfns, lo, hi, steps, y0)
-        change, size = np.abs(y - prev).max(axis=1), np.abs(y).max(axis=1)
-        floor = 8.0 * sys.float_info.epsilon * (steps + phase)
-        if np.all(change <= np.maximum(rows.tol, floor) * size):
-            return y[:, None, :], None
-        if 2 * steps > _MAGNUS_MAX_STEPS:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gap = change / size
-            worst = int(np.argmax(np.where(np.isnan(gap), np.inf, gap)))
-            raise RuntimeError(
-                f"Magnus steps on [{lo}, {hi}] do not settle within {steps} steps: "
-                f"relative change {gap[worst]:.3g} > tol = {rows.tol:.3g} "
-                f"at lambda = {complex(rows.lams[worst])}"
-            )
-        prev, steps = y, 2 * steps
+    # the change and the size weigh (y, y' / sigma), sigma = sqrt(max(|lam|,
+    # 1)), so that a state read where y' passes through zero keeps its size
+    sigma = np.sqrt(np.maximum(np.abs(rows.lams), 1.0))
+    weight = np.stack([np.ones_like(sigma), 1.0 / sigma], axis=-1)[:, None, :]
+
+    def settle(pts, before, steps):
+        prev = _magnus_steps(rows, qfns, lo, hi, before, y0, pts)
+        while True:
+            y = _magnus_steps(rows, qfns, lo, hi, steps, y0, pts)
+            change = (np.abs(np.subtract(y, prev, out=prev)) * weight).max(axis=(2, 3))
+            size = (np.abs(y) * weight).max(axis=(2, 3))
+            floor = 8.0 * sys.float_info.epsilon * (steps + phase)
+            if np.all(change <= np.maximum(rows.tol, floor) * size):
+                return y, before, steps
+            if 2 * steps > _MAGNUS_MAX_STEPS:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    gap = (change / size).max(axis=0)
+                worst = int(np.argmax(np.where(np.isnan(gap), np.inf, gap)))
+                raise RuntimeError(
+                    f"Magnus steps on [{lo}, {hi}] do not settle within {steps} steps: "
+                    f"relative change {gap[worst]:.3g} > tol = {rows.tol:.3g} "
+                    f"at lambda = {complex(rows.lams[worst])}"
+                )
+            prev, before, steps = y, steps, 2 * steps
+
+    y, before, steps = settle(reads[:0], 1, max(2, math.ceil(8.0 * abs(hi - lo))))
+    return y[-1], (settle(reads, before, steps)[0] if reads.size else y)[:-1]
 
 
 def _walk(problems: Sequence[Problem], lams, z, a: float, at, *, tol):
@@ -420,13 +459,11 @@ def _walk(problems: Sequence[Problem], lams, z, a: float, at, *, tol):
     ``rows = len(problems) * len(lams)``; the problems must share ``d``.
     Each row sees its own problem's ``q`` and matching.
 
-    ``at`` is ordered along the walk.  Each segment goes to one kernel,
-    ``kernel(rows, lo, hi, z, reads)`` with the points ``reads`` strictly
-    inside it: :func:`_magnus` for a ``nu_max = 0`` walk and a segment with
-    no such point, :func:`_dop853` otherwise, which reads its interpolant.
-    A point at a segment end gets the integrated state.  ``d`` listed once
-    reads the state before the matching; listed twice, the second entry
-    reads the state after it.
+    ``at`` is ordered along the walk.  Each segment is one :func:`_magnus`
+    call, which also returns the states at the points of ``at`` strictly
+    inside it; a point at a segment end gets the state there.  ``d``
+    listed once reads the state before the matching; listed twice, the
+    second entry reads the state after it.
 
     Returns ``(states, logs)``: the scaled states, shape
     ``(len(at), rows, nu_max+1, 2)``, and their log scales ``mu |x - a|``,
@@ -442,7 +479,6 @@ def _walk(problems: Sequence[Problem], lams, z, a: float, at, *, tol):
     direction = 1.0 if b >= a else -1.0
     if np.any(np.diff(np.append(a, at)) * direction < -1e-12):
         raise ValueError("points must be ordered along the walk from its start")
-    nu_max = z.shape[1] - 1
     mus = np.array([growth_rate(lam) for lam in lams])
     rows = _Rows(problems, lams, mus, tol)
     states = np.empty((at.size,) + z.shape, dtype=complex)
@@ -455,10 +491,7 @@ def _walk(problems: Sequence[Problem], lams, z, a: float, at, *, tol):
         j = i  # at[i:j] lie inside this segment
         while j < at.size and (hi - at[j]) * direction > 1e-12:
             j += 1
-        kernel = _dop853 if nu_max or j > i else _magnus
-        z, inside = kernel(rows, lo, hi, z, at[i:j])
-        if j > i:
-            states[i:j] = inside
+        z, states[i:j] = _magnus(rows, lo, hi, z, at[i:j])
         i = j
         if i < at.size and abs(at[i] - hi) <= 1e-12:
             states[i] = z
@@ -521,9 +554,9 @@ def solve_many(
 
     Returns ``(states, logs)``: the scaled far-end chain states, shape
     ``(n, nu_max+1, 2)`` with ``(y, y')`` per member, and the per-lambda
-    log scales.  The batch shares one step sequence and scipy's error norm
-    is the RMS over all components, so a caller that needs each lambda
-    within the single-solve error budget divides ``tol`` by ``sqrt(n)``.  No interpolant is built.
+    log scales.  The batch shares each segment's step count, and every
+    lambda is judged on its own, so each meets ``tol`` as a one-lambda solve
+    does.
     """
 
     lams = np.asarray(lams, dtype=complex).ravel()
@@ -549,17 +582,14 @@ def wronskian_check(
     conserved by both the equation and the matching conditions.  Being a
     bracket, it runs at ``BRACKET_TOL`` by default.
 
-    Both solutions are walked together, one walk per grid interval, and
-    only end states are read, so every segment goes to the Magnus kernel.
-    Its step propagators have determinant ``exp(-2 mu |h|)``, which the log
-    scales put back, and the matching has determinant 1, so the bracket is
-    kept to rounding whatever the step count: this no longer measures the
-    accuracy of the steps.  It checks the walk (the log scales, the
-    matching at ``d``, also at a grid point, and the states handed from one
-    walk to the next); the deviation grows like the rounding error times
-    ``exp(2 |Im sqrt(lam)| (x0 - r))``, the cancellation between the pair.
-    The tests witness accuracy against exact transfer-matrix products for a
-    piecewise-constant ``q`` and against DOP853 at ``tol = 1e-13``.
+    Both solutions are walked together, one walk per grid interval.  The
+    Magnus step propagators have determinant ``exp(-2 mu |h|)``, which the
+    log scales put back, and the matching has determinant 1, so the bracket
+    is kept to rounding whatever the step count and does not measure the
+    accuracy of the steps.  It checks the walk (the log scales, the matching
+    at ``d``, also at a grid point, and the states handed from one walk to
+    the next); the deviation grows like the rounding error times ``exp(2
+    |Im sqrt(lam)| (x0 - r))``, the cancellation between the pair.
     """
 
     xs = np.linspace(r, x0, n_samples)
@@ -625,15 +655,15 @@ def pair_integrals(
     result.  A term more than ``350 / mu`` before ``x_to`` weighs less than
     ``exp(-700)``, so the walk crosses that stretch without reads.  The
     batch shares the walk: nodes from its largest ``|lam|``, skip-ahead from
-    its smallest ``mu``, ``tol / sqrt(len(lams))`` (a one-lambda call is
-    unchanged), and ``_PAIR_BLOCK`` nodes read per walk to bound the memory.
+    its smallest ``mu``, and ``_PAIR_BLOCK`` nodes read per walk to bound
+    the memory.  Each node is a read inside a segment of the walk, so the
+    step rule judges the states there as well as at the segment ends.
     """
 
     if not x_to > x_from:
         raise ValueError("pair_integrals integrates left to right")
     lams = np.asarray(lams, dtype=complex).ravel()
     n, d, problems = lams.size, prob_a.d, [prob_a, prob_b]
-    tol = tol / math.sqrt(n)  # each lambda keeps the error of a one-lambda call
     mus = np.array([growth_rate(lam) for lam in lams])
 
     def decay(dist):  # exp(-2 mu dist) by math.exp, as a one-lambda call has it

@@ -8,10 +8,12 @@ the phase (every step below pi/2).  A search runs in three phases:
    one zero, or a multiple zero or tight cluster at the size floor; this
    counting pass uses relaxed integrator tolerances and batched solves
    (:func:`delta_many`).
-2. Newton rounds polish the centre of every unresolved leaf together: each
-   round integrates the chain ``(phi, d phi/d lam)`` for all of them in one
-   vectorized solve per tolerance level, so the derivative is exact and no
-   interpolant is built.  Each lambda stops on its own rules.
+2. Newton rounds polish every unresolved leaf together, from one start per
+   zero it still lacks: each iteration integrates the chain ``(phi, d
+   phi/d lam)`` for all of them in one vectorized solve, so the derivative
+   is exact.  The starts of one leaf deflate each other, so a leaf at the
+   size floor that holds several simple zeros finds them in one round.
+   Each lambda stops on its own rules.
 3. A root is accepted when it lies in its leaf and is new.  A leaf that
    holds one zero pins its order; in a leaf at the size floor that holds
    more, a small-circle winding count gives the algebraic multiplicity, and
@@ -223,53 +225,59 @@ def _problem_batch(problem: Problem, tol: float):
     return f_batch
 
 
-# (coarse stage?, tol, step size that ends the stage relative to 1+|lam|)
-_NEWTON_STAGES = ((True, 1e-7, 1e-5), (False, 1e-11, 5e-13))
+# the two Newton stages, coarse then fine: tol, and the step size relative
+# to 1+|lam| that ends the stage
+_NEWTON_TOL, _NEWTON_STOP = (1e-7, 1e-11), np.array([1e-5, 5e-13])
 
 
-def _polish(problem: Problem, starts, mults=None, *, maxit: int = 60):
+def _polish(problem: Problem, starts, mults=None, *, maxit: int = 60, groups=None):
     """Newton iteration on ``delta`` from every start at once.
 
     Each round integrates the chain ``(phi, d phi/d lam)`` for all active
-    lambda in one :func:`solve_many` call per tolerance level, so the
-    derivative is exact (no finite differences).  Every lambda follows the
-    single-root rules on its own: steps at relaxed tolerance until the step
-    is small, then at most two polish steps at tight tolerance.  ``mults``
-    scales the step of known multiple roots, where plain Newton is only
-    linearly convergent.  Tolerances are divided by ``sqrt(n)`` so that each
-    lambda of an ``n``-batch stays within the error budget of a lone solve.
+    lambda in one :func:`solve_many` call, at the fine stage's tolerance once
+    one of them is there, so the derivative is exact.  Every lambda follows
+    the single-root rules on its own: steps at relaxed tolerance until the
+    step is small, then at most two polish steps at tight tolerance.
+    ``mults`` scales the step of known multiple roots, where plain Newton is
+    only linearly convergent.  Starts that share a label in ``groups`` look
+    for distinct zeros: each deflates the current iterates of the others by
+    the Ehrlich-Aberth step ``N / (1 - N sum_j 1/(lam - lam_j))``, ``N =
+    delta / delta'``.
 
     Returns the final lambda and ``|delta / delta'|`` of the last sample.
     """
 
     lam = np.array(starts, dtype=complex)
     m = np.ones(lam.size) if mults is None else np.asarray(mults, dtype=float)
-    coarse = np.ones(lam.size, dtype=bool)
+    label = np.arange(lam.size) if groups is None else np.asarray(groups)
+    stage = np.zeros(lam.size, dtype=int)
     polish_left = np.full(lam.size, 2)
     evals = np.zeros(lam.size, dtype=int)
     residual = np.full(lam.size, math.inf)
     active = np.ones(lam.size, dtype=bool)
     while active.any():
-        for stage_coarse, tol, stop in _NEWTON_STAGES:
-            idx = np.flatnonzero(active & (coarse == stage_coarse))
-            if idx.size == 0:
-                continue
-            states, _ = solve_many(problem, lam[idx], nu_max=1, tol=tol / math.sqrt(idx.size))
-            d, _ = _deltas(problem, states)
-            evals[idx] += 1
-            flat = d[:, 1] == 0
-            active[idx[flat]] = False
-            idx, d = idx[~flat], d[~flat]
-            step = d[:, 0] / d[:, 1]
-            lam[idx] -= m[idx] * step
-            residual[idx] = np.abs(step)
-            small = residual[idx] < stop * (1.0 + np.abs(lam[idx]))
-            if stage_coarse:
-                coarse[idx[small]] = False
-            else:
-                polish_left[idx] -= 1
-                active[idx[small | (polish_left[idx] <= 0)]] = False
-            active &= evals < maxit
+        idx = np.flatnonzero(active)
+        states, _ = solve_many(problem, lam[idx], nu_max=1, tol=_NEWTON_TOL[stage[idx].max()])
+        d, _ = _deltas(problem, states)
+        evals[idx] += 1
+        flat = d[:, 1] == 0
+        active[idx[flat]] = False
+        idx, d = idx[~flat], d[~flat]
+        step = d[:, 0] / d[:, 1]
+        residual[idx] = np.abs(step)
+        others = (label[idx, None] == label) & (idx[:, None] != np.arange(lam.size))
+        if others.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                pull = np.where(others, 1.0 / (lam[idx, None] - lam), 0.0).sum(axis=1)
+            aberth = step / (1.0 - step * pull)
+            step = np.where(np.isfinite(aberth), aberth, step)
+        lam[idx] -= m[idx] * step
+        small = residual[idx] < _NEWTON_STOP[stage[idx]] * (1.0 + np.abs(lam[idx]))
+        fine = stage[idx] == 1
+        polish_left[idx[fine]] -= 1
+        active[idx[fine & (small | (polish_left[idx] <= 0))]] = False
+        stage[idx[~fine & small]] = 1
+        active &= evals < maxit
     return lam, residual
 
 
@@ -288,11 +296,15 @@ class _Leaf:
             and im_lo - margin <= z.imag <= im_hi + margin
         )
 
-    def centre(self) -> complex:
-        """The Newton start point."""
+    def starts(self, k: int) -> list:
+        """``k`` Newton start points: the centres of ``k`` equal slices
+        across the longer side."""
 
         re_lo, re_hi, im_lo, im_hi = self.rect
-        return complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
+        t = (np.arange(max(k, 0)) + 0.5) / max(k, 1)
+        if re_hi - re_lo >= im_hi - im_lo:
+            return list(re_lo + (re_hi - re_lo) * t + 0.5j * (im_lo + im_hi))
+        return list(0.5 * (re_lo + re_hi) + 1j * (im_lo + (im_hi - im_lo) * t))
 
 
 _LEAF_SIZE = 2.0  # rectangles this small are leaves, whatever their count
@@ -312,8 +324,9 @@ def find_eigenvalues(
     min(im_halfwidth, B + 1)``; eigenvalues of the problems treated here lie
     in a horizontal strip, but one outside the strip (large complex ``h``,
     ``H`` or ``gamma`` can put one there) is not found and not reported.
-    Each leaf of the subdivision holds one zero, and Newton starts from the
-    centres of the unresolved leaves.  Inside the box the total leaf count
+    Each leaf of the subdivision holds one zero, or several at the size
+    floor, and Newton starts from one slice centre of an unresolved leaf
+    per zero it lacks.  Inside the box the total leaf count
     is reconciled against the outer-rectangle winding count, so dropped or
     doubled roots are detected rather than silently returned.
     """
@@ -446,13 +459,16 @@ def find_eigenvalues(
         roots.append(root)
         return root if mult > 1 else None
 
-    # Every Newton round polishes the centre of each unresolved leaf in one
-    # batched solve; a leaf still unresolved after its round is split.
+    # Every Newton round polishes the unresolved leaves in one batched solve:
+    # one start per zero not yet found, the starts of one leaf deflating
+    # each other; a leaf still unresolved after its round is split.
     while pending:
-        todo = [leaf for leaf in pending if found(leaf) < leaf.count]
-        lams, residuals = _polish(problem, [leaf.centre() for leaf in todo])
+        todo = [(i, z) for i, leaf in enumerate(pending)
+                for z in leaf.starts(leaf.count - found(leaf))]
+        lams, residuals = _polish(problem, [z for _, z in todo], groups=[i for i, _ in todo])
         multiple = []
-        for leaf, lam, residual in zip(todo, lams, residuals):
+        for (i, _), lam, residual in zip(todo, lams, residuals):
+            leaf = pending[i]
             if found(leaf) < leaf.count:
                 root = accept(leaf, lam, residual)
                 if root is not None:

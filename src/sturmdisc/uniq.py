@@ -185,7 +185,7 @@ def product_ratio_probe(
     ``exp(-mu (4 pi - 2 b))`` with ``mu = sqrt(y/2)``; the report carries
     the fitted rate with its standard error and whether the tail is
     monotonically decreasing.  The factors are one :func:`delta_many` batch
-    per problem, at ``1e-9 / sqrt(len(ys))``.  The fit and the tail read
+    per problem, at ``1e-9``.  The fit and the tail read
     only the points where ``F`` clears the noise floor of
     :func:`bracket_decay_probe`; with fewer than 3 (``F = 0`` for a problem
     paired with itself) the rate is ``-inf``, decay beyond resolution, and
@@ -215,7 +215,7 @@ def product_ratio_probe(
                     )
             log_g -= s0.delta.log_abs + s0.delta_inf.log_abs
         for prob in (prob_a, prob_b):
-            vals, vals_inf, logs = delta_many(prob, lams, tol=1e-9 / math.sqrt(ys.size))
+            vals, vals_inf, logs = delta_many(prob, lams, tol=1e-9)
             log_g += np.log(np.abs(vals)) + np.log(np.abs(vals_inf)) + 2.0 * logs
     vals, logs = f_bracket_ray(prob_a, prob_b, b, lams)
     log_f, _, used = _above_floor(prob_a, prob_b, 0.0, b, ys, vals)

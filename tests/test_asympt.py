@@ -6,21 +6,52 @@ import math
 import numpy as np
 import pytest
 
-from sturmdisc.asympt import (
-    build_expansion,
-    decay_order_fit,
-    dy2_model,
-    nu_kernel,
-    s_series,
-    s_tail_envelope,
-    term_sign,
-    y2_model,
-)
+from sturmdisc.asympt import build_expansion, decay_order_fit, s_series, term_sign
 from sturmdisc.expr import PotentialExpr
 from sturmdisc.ode import ScaledVal, solve_chain
 from sturmdisc.problem import Problem
 
 PI = math.pi
+
+
+def nu_kernel(j: int, x, lam: complex):
+    """``sin(sqrt(lam) x)/(2 sqrt(lam))^j`` for even j, cosine for odd j."""
+
+    s = cmath.sqrt(lam)
+    base = np.sin(s * np.asarray(x)) if j % 2 == 0 else np.cos(s * np.asarray(x))
+    return base / (2 * s) ** j
+
+
+def y2_model(table, x: float, lam: complex) -> complex:
+    """Kernel-expansion approximation of the sine-normalized solution."""
+
+    s = cmath.sqrt(lam)
+    total = cmath.sin(s * x) / s
+    for j in range(1, table.m + 3):
+        total += table.a_at(j, x) * complex(nu_kernel(j, x, lam)) / s
+    return total
+
+
+def dy2_model(table, x: float, lam: complex) -> complex:
+    s = cmath.sqrt(lam)
+    total = cmath.cos(s * x)
+    for j in range(0, table.m + 2):
+        total += table.b_at(j, x) * complex(nu_kernel(j, x, lam)) / s
+    return total
+
+
+def s_tail_envelope(q, x: float, lam: complex, p: int, m: int) -> float:
+    """The a-priori envelope ``exp(|Im sqrt(lam)| x) (int_0^x |q|)^p / p! /
+    |sqrt(lam)|^{m+4}`` valid for the tail terms ``p >= m+3``."""
+
+    if isinstance(q, str):
+        q = PotentialExpr.parse(q, length=max(x, math.pi))
+    xs = np.linspace(0.0, x, 801)
+    qint = float(np.trapezoid(np.abs(q(xs)), xs))
+    s = cmath.sqrt(lam)
+    return (
+        math.exp(abs(s.imag) * x) * qint**p / math.factorial(p) / abs(s) ** (m + 4)
+    )
 
 
 def free(**kw):

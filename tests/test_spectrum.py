@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from test_charfn import consistency_setups
+from test_charfn import consistency_setups, free_jump_scaled
 
 from sturmdisc import spectrum
 from sturmdisc.charfn import char_delta
@@ -118,6 +118,36 @@ class TestClassicalSpectra:
         for r in find_eigenvalues(free(), 60.0):
             assert r.multiplicity == 1
             assert r.residual < 1e-6
+
+
+class TestNewtonRounds:
+    def test_floor_leaf_with_two_simple_zeros_takes_one_round(self, monkeypatch):
+        # 0.117+0.295i and 0.976+0.196i share a leaf at the size floor; its
+        # two starts deflate each other, so one batched round finds all
+        # seven roots, where plain Newton from the leaf centre took four
+        # rounds and 25 one-lambda solves
+        rounds = []
+        polish = spectrum._polish
+
+        def counting(problem, starts, *args, **kw):
+            rounds.append(len(starts))
+            return polish(problem, starts, *args, **kw)
+
+        monkeypatch.setattr(spectrum, "_polish", counting)
+        sizes = newton_batch_sizes(monkeypatch)
+        data = dict(h=0.0, H=0.0, beta=1.0, gamma=1j, d=1.0)
+        records = find_eigenvalues(Problem(q="0", **data), 40.0)
+        assert rounds == [7]
+        assert 1 not in sizes
+        assert [r.multiplicity for r in records] == [1] * 7
+
+        def delta(lam):
+            return free_jump_scaled(lam, **data)[0]
+
+        for r in records:
+            # a zero of the closed form: its Newton step is rounding
+            slope = (delta(r.lam + 1e-6) - delta(r.lam - 1e-6)) / 2e-6
+            assert abs(delta(r.lam) / slope) < 1e-9 * (1.0 + abs(r.lam))
 
 
 class TestJumpSpectrum:

@@ -180,13 +180,13 @@ class TestRatioProbe:
         # each problem once at 0; the ray points are batched
         assert calls == [0.0, 0.0]
         # the log ratios are those of normalizing at 0 at every ray point,
-        # with each problem's factors from one batch at 1e-9 / sqrt(n)
+        # with each problem's factors from one batch at 1e-9
         log_g = np.zeros(ys.size)
         for prob in (p, pb):
             s0 = char_delta(prob, 0.0)
             log_g -= s0.delta.log_abs + s0.delta_inf.log_abs
         for prob in (p, pb):
-            vals, vals_inf, logs = delta_many(prob, 1j * ys, tol=1e-9 / math.sqrt(ys.size))
+            vals, vals_inf, logs = delta_many(prob, 1j * ys, tol=1e-9)
             log_g += np.log(np.abs(vals)) + np.log(np.abs(vals_inf)) + 2.0 * logs
         vals, logs = f_bracket_ray(p, pb, b, 1j * ys)
         assert list(rep.log_ratios) == list(np.log(np.abs(vals)) + logs - log_g)
