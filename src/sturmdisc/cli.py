@@ -45,9 +45,7 @@ def _search(cfg: RunConfig, path: str):
     p = cfg.problem("problem", path + ".problem")
     bound = get_real(cfg.params, "modulus_bound", path)
     _check(bound > 0, path + ".modulus_bound", "must be positive")
-    halfwidth = get_real(cfg.params, "im_halfwidth", path, default=50.0)
-    _check(halfwidth >= 0, path + ".im_halfwidth", "must be non-negative")
-    return p, find_eigenvalues(p, bound, im_halfwidth=halfwidth)
+    return p, find_eigenvalues(p, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +224,10 @@ def _run_uniq(cfg: RunConfig):
 
 # command -> (runner, the fields its config section may hold)
 _RUNNERS = {
-    "spectrum": (_run_spectrum, {"problem", "modulus_bound", "im_halfwidth"}),
-    "norming": (_run_norming, {"problem", "modulus_bound", "im_halfwidth"}),
+    "spectrum": (_run_spectrum, {"problem", "modulus_bound"}),
+    "norming": (_run_norming, {"problem", "modulus_bound"}),
     "charfn": (_run_charfn, {"problem", "lambdas"}),
-    "product": (_run_product,
-                {"problem", "zeros", "modulus_bound", "im_halfwidth", "lambdas"}),
+    "product": (_run_product, {"problem", "zeros", "modulus_bound", "lambdas"}),
     "growth": (_run_growth, {"problem", "target", "y_lo", "y_hi", "per_decade"}),
     "asympt": (_run_asympt, {"problem_a", "problem_b", "r", "x0", "m", "combination"}),
     "uniq": (_run_uniq, {"mode", "problem_a", "problem_b", "b", "m", "tolerance"}),

@@ -185,8 +185,9 @@ def jump_backward(state, beta: float, gamma: complex):
 
 def _ordered_breaks(x_from: float, x_to: float, pts: Sequence[float]) -> list[float]:
     lo, hi = min(x_from, x_to), max(x_from, x_to)
-    inner = sorted({p for p in pts if lo + 1e-12 < p < hi - 1e-12})
-    path = [lo] + inner + [hi]
+    inner = sorted(p for p in pts if lo + 1e-12 < p < hi - 1e-12)
+    # d within rounding of a break of q is one break, so the jump applies once
+    path = [lo] + [p for k, p in enumerate(inner) if k == 0 or p - inner[k - 1] > 1e-12] + [hi]
     if x_from > x_to:
         path.reverse()
     return path

@@ -1,24 +1,24 @@
 """Eigenvalue location by argument-principle counting plus batched Newton.
 
-``delta`` is entire of order 1/2, so a rectangle count via the winding
-number of its boundary values is exact once the boundary sampling resolves
-the phase (every step below pi/2).  A search runs in three phases:
+``delta`` is entire of order 1/2, so the count of its zeros inside a closed
+path is exact once the boundary sampling resolves the phase (every step
+below pi/2).  A search for the zeros with ``|lam| < B`` runs in four steps:
 
-1. The strip is sliced and rectangles are subdivided until each leaf holds
-   one zero, or a multiple zero or tight cluster at the size floor; this
-   counting pass uses relaxed integrator tolerances and batched solves
-   (:func:`delta_many`).
-2. Newton rounds polish every unresolved leaf together, from one start per
-   zero it still lacks: each iteration integrates the chain ``(phi, d
-   phi/d lam)`` for all of them in one vectorized solve, so the derivative
-   is exact.  The starts of one leaf deflate each other, so a leaf at the
-   size floor that holds several simple zeros finds them in one round.
-   Each lambda stops on its own rules.
-3. A root is accepted when it lies in its leaf and is new.  A leaf that
-   holds one zero pins its order; in a leaf at the size floor that holds
-   more, a small-circle winding count gives the algebraic multiplicity, and
-   multiple roots get a second, step-scaled polish.  A leaf still
-   unresolved after its round is split and goes back to phase 2.
+1. Seeds ``rho^2 + mean(q)`` come from the real zeros ``rho`` of the
+   leading term of ``delta / rho``, one per unit bracket.
+2. Newton polishes all seeds together: each iteration integrates the chain
+   ``(phi, d phi/d lam)`` for all of them in one vectorized solve, so the
+   derivative is exact, and the seeds deflate each other, so two of them
+   do not settle on one root.  Each lambda stops on its own rules.
+3. One winding count on a circle ``|lam| = R >= B`` that passes no root
+   found certifies them: all are simple when the distinct roots inside
+   match the count; otherwise a small-circle count gives each its algebraic
+   multiplicity, and multiple roots get a second, step-scaled polish.
+4. Where the roots still fall short, the circle's bounding square is
+   subdivided until each rectangle holds as many zeros as roots found, or
+   one zero, or several at the size floor; Newton starts from one slice
+   centre per zero such a leaf lacks, and splits what stays unresolved.
+   Counts use relaxed tolerances and batched solves (:func:`delta_many`).
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import _deltas, char_delta, delta_many
-from .ode import solve_many
+from .ode import _gauss_nodes, solve_many
 from .problem import Problem
 
 _PHASE_LIMIT = 0.5 * math.pi
+_SAMPLES_PER_RHO = 2.5  # per unit of sqrt(lam): phase steps of about pi / 2.5
 
 
 class ZeroOnContour(RuntimeError):
@@ -44,7 +45,7 @@ class ZeroOnContour(RuntimeError):
 class EigenRecord:
     lam: complex
     multiplicity: int
-    residual: float  # |delta| at the root, relative to the local scale
+    residual: float  # |delta / delta'|, or (|delta| / |delta^(m)|)^(1/m) if m > 1
 
 
 @dataclass
@@ -178,10 +179,17 @@ def count_zeros(f_batch, rect) -> int:
     span = abs(math.sqrt(abs(re_hi)) - math.sqrt(abs(re_lo))) + (
         math.sqrt(abs(re_hi)) + math.sqrt(abs(re_lo)) if re_lo < 0 < re_hi else 0.0
     )
-    n_re = max(8, int(2.5 * span) + 4)
+    n_re = max(8, int(_SAMPLES_PER_RHO * span) + 4)
     n_im = max(6, int(0.35 * (im_hi - im_lo)))
     path = _rect_path(re_lo, re_hi, im_lo, im_hi, n_re, n_im)
     return _winding_closed(cache, path)
+
+
+def _circle_samples(lam0: complex, r: float) -> int:
+    """Initial samples of the circle ``|lam - lam0| = r``: 16, or more for
+    its sqrt(lam) arc length ``~ pi r / sqrt(max(|lam0|, r))``."""
+
+    return max(16, math.ceil(_SAMPLES_PER_RHO * math.pi * r / math.sqrt(max(abs(lam0), r))))
 
 
 def multiplicity_probe(
@@ -197,7 +205,7 @@ def multiplicity_probe(
     cache = f_batch if isinstance(f_batch, _Cache) else _Cache(f_batch)
 
     def circle(r):
-        n = 16
+        n = _circle_samples(lam0, r)
         pts = [lam0 + r * np.exp(2j * math.pi * k / n) for k in range(n)]
         pts.append(pts[0])
         return _winding_closed(cache, pts)
@@ -311,77 +319,113 @@ _LEAF_SIZE = 2.0  # rectangles this small are leaves, whatever their count
 _COUNT_TOL = 3e-7  # integrator tolerance of the winding counts
 
 
+def _multiplicity(cache, lam: complex) -> int:
+    """Zero order at a root, on a circle small against the root spacing."""
+
+    radius = min(0.02 * (1 + abs(lam)) ** 0.25, 0.45 * _LEAF_SIZE)
+    try:
+        return multiplicity_probe(cache, lam, radius, check_shrink=False)
+    except ZeroOnContour:
+        return multiplicity_probe(cache, lam, radius * 1.37, check_shrink=False)
+
+
+def _polish_multiple(problem: Problem, roots: list) -> None:
+    """Step-scaled polish, in place, of the multiple ``[lam, mult, ...]`` roots."""
+
+    multiple = [r for r in roots if r[1] > 1]
+    if multiple:
+        lams, _ = _polish(problem, [r[0] for r in multiple], [r[1] for r in multiple], maxit=10)
+        for root, lam in zip(multiple, lams):
+            root[0] = lam
+
+
+def _seeds(problem: Problem, bound: float) -> np.ndarray:
+    """Newton starts ``rho^2 + mean(q)`` from the real zeros ``rho`` of the
+    leading term of ``delta / rho``, ``-b1 sin(rho pi) + b2 sin(rho (2d -
+    pi))``: 0 and one in each ``(n - 1/2, n + 1/2)``; for Dirichlet, ``b1
+    cos(rho pi) + b2 cos(rho (2d - pi))``: one in each ``(n, n + 1)``.
+    ``b1 > |b2|`` makes the sign at the bracket ends alternate."""
+
+    x, w = _gauss_nodes(1.0, 0.0, math.pi, problem.q.breakpoints())
+    shift = complex(w @ problem.q(x)) / math.pi
+    n = np.arange(math.ceil(math.sqrt(bound + abs(shift))) + 2, dtype=float)
+    trig, sign, lo = (np.cos, 1.0, n) if problem.dirichlet else (np.sin, -1.0, n[1:] - 0.5)
+    b1, b2, tilt = sign * problem.b1, problem.b2, 2.0 * problem.d - math.pi
+
+    def lead(r):
+        return b1 * trig(r * math.pi) + b2 * trig(r * tilt)
+
+    a, b, sign_a = lo, lo + 1.0, np.sign(lead(lo))
+    for _ in range(53):  # a unit bracket halved 53 times is down to rounding
+        mid = 0.5 * (a + b)
+        left = np.sign(lead(mid)) == sign_a
+        a, b = np.where(left, mid, a), np.where(left, b, mid)
+    rho = 0.5 * (a + b)
+    if not problem.dirichlet:
+        lo, rho = np.append(0.0, lo), np.append(0.0, rho)
+    # a root lies O(1) off its seed, so a bracket that reaches into the disc
+    # keeps its seed even when the seed itself lies outside
+    return (rho**2 + shift)[np.abs(lo**2 + shift) < bound]
+
+
 def find_eigenvalues(
     problem: Problem,
     modulus_bound: float,
     *,
-    im_halfwidth: float = 50.0,
+    im_halfwidth: float = math.inf,
 ) -> list[EigenRecord]:
-    """Eigenvalues with ``|lam| < modulus_bound`` and ``|Im lam| <=
-    im_halfwidth``, with multiplicities.
-
-    The search box is ``[-B - margin, B + margin] x [-c, c]`` with ``c =
-    min(im_halfwidth, B + 1)``; eigenvalues of the problems treated here lie
-    in a horizontal strip, but one outside the strip (large complex ``h``,
-    ``H`` or ``gamma`` can put one there) is not found and not reported.
-    Each leaf of the subdivision holds one zero, or several at the size
-    floor, and Newton starts from one slice centre of an unresolved leaf
-    per zero it lacks.  Inside the box the total leaf count
-    is reconciled against the outer-rectangle winding count, so dropped or
-    doubled roots are detected rather than silently returned.
+    """All eigenvalues with ``|lam| < modulus_bound`` and ``|Im lam| <=
+    im_halfwidth``, with multiplicities, by the four steps of the module
+    docstring.  A search whose roots inside the counting circle do not add
+    up to its winding count raises rather than return them.
     """
 
     B = float(modulus_bound)
     cache = _Cache(_problem_batch(problem, _COUNT_TOL))
-    c = min(im_halfwidth, B + 1.0)
-    # the midline, where a slice is first cut across, lies 0.3056 above the
-    # real axis: between two samples 20 times its distance apart or more,
-    # the 2 pi phase turn of a real double zero aliases to nothing
-    outer = (-B - 0.372, B + 0.413, -c - 0.0931, c + 0.7043)
+    seeds = _seeds(problem, B)
+    lams, residuals = _polish(problem, seeds, groups=np.zeros(seeds.size))
+    roots: list[list] = []  # [lam, mult, residual, owning leaf]
+    for lam, residual in zip(lams, residuals):
+        converged = residual < _NEWTON_STOP[0] * (1.0 + abs(lam))
+        if converged and not any(abs(lam - r[0]) < 2e-5 * (1 + abs(lam)) for r in roots):
+            roots.append([lam, 1, residual, None])
 
-    for attempt in range(4):
-        try:
-            total = count_zeros(cache, outer)
-            break
-        except ZeroOnContour:
-            outer = (
-                outer[0] - 0.311,
-                outer[1] + 0.297,
-                outer[2] - 0.151,
-                outer[3] + 0.143,
-            )
-    else:
-        raise RuntimeError("could not find a clean outer contour")
+    # the counting circle passes no root found closer than 1/20 of a step
+    R, gap = B, 2.0 * math.pi * B / _circle_samples(0.0, B) / 20.0
+    for modulus in sorted(abs(r[0]) for r in roots):
+        if R - gap < modulus < R + gap:
+            R = modulus + gap
+    total = multiplicity_probe(cache, 0.0, R, check_shrink=False)
 
-    # Slice the strip at sqrt-spaced cuts (between the typical eigenvalue
-    # positions ~ (n + delta)^2) so most slices isolate one root right away;
-    # binary subdivision below only has to clean up collisions.  The cut at
-    # -offset keeps a root near 0 out of the long slice to the left, where
-    # Newton would start far from it.
-    def slice_counts(offset):
-        cuts = [outer[0]] + ([-offset] if -offset > outer[0] else [])
-        n = 0
-        while (n + offset) ** 2 < outer[1] - 1.0:
-            cuts.append((n + offset) ** 2)
-            n += 1
-        cuts.append(outer[1])
-        counts = []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            counts.append(count_zeros(cache, (a, b, outer[2], outer[3])))
-        return cuts, counts
+    roots = [r for r in roots if abs(r[0]) < R]
+    if len(roots) != total:
+        for root in roots:
+            root[1] = _multiplicity(cache, root[0])
+        roots = [r for r in roots if r[1] > 0]
+        _polish_multiple(problem, roots)
+    if sum(r[1] for r in roots) < total:
+        _subdivide_square(problem, cache, roots, R)
+    inside = sum(r[1] for r in roots if abs(r[0]) < R)
+    if inside != total:
+        raise RuntimeError(f"{inside} zeros found inside |lam| = {R:.6g}, winding {total}")
 
-    for offset in (0.231, 0.367, 0.149, 0.4511):
-        try:
-            cuts, counts = slice_counts(offset)
-            break
-        except ZeroOnContour:
+    records = []
+    for lam, mult, residual, _ in roots:
+        if abs(lam) >= B or abs(lam.imag) > im_halfwidth:
             continue
-    else:
-        cuts, counts = [outer[0], outer[1]], [total]
-    if sum(counts) != total:
-        raise RuntimeError(
-            f"slice counts {sum(counts)} disagree with outer count {total}"
-        )
+        if mult > 1:
+            sample = char_delta(problem, lam, nu_max=mult)
+            scale = abs(sample.ddelta[mult].val) + 1e-300
+            residual = (abs(sample.delta.val) / scale) ** (1.0 / mult)
+        records.append(EigenRecord(lam=lam, multiplicity=mult, residual=residual))
+    records.sort(key=lambda r: (abs(r.lam), r.lam.real))
+    return records
+
+
+def _subdivide_square(problem: Problem, cache, roots: list, R: float) -> None:
+    """Find the zeros inside ``|lam| < R`` that ``roots`` lacks by counting
+    on the circle's bounding square and subdividing it; new roots are
+    appended to ``roots``."""
 
     def split(rect, count):
         """Halve ``rect`` across its longer side, nudging the cut off zeros."""
@@ -406,58 +450,41 @@ def find_eigenvalues(
         else:
             raise RuntimeError("subdivision kept hitting zeros on contours")
         if c1 + c2 != count:
-            raise RuntimeError(
-                f"winding counts inconsistent: {count} != {c1}+{c2} on {rect}"
-            )
+            raise RuntimeError(f"winding counts inconsistent: {count} != {c1}+{c2} on {rect}")
         return (r1, c1), (r2, c2)
+
+    def found(leaf):
+        return sum(m for lam, m, _, owner in roots if owner is leaf or leaf.contains(lam, 1e-9))
 
     pending: list[_Leaf] = []
 
     def subdivide(rect, count, depth=0):
-        if count == 0:
+        """Queue the leaves of ``rect`` inside the disc that lack roots."""
+
+        re_lo, re_hi, im_lo, im_hi = rect
+        leaf = _Leaf(rect, count, depth)
+        nearest = complex(min(max(0.0, re_lo), re_hi), min(max(0.0, im_lo), im_hi))
+        if abs(nearest) >= R or count <= found(leaf):
             return
-        w, hgt = rect[1] - rect[0], rect[3] - rect[2]
-        if count == 1 or max(w, hgt) <= _LEAF_SIZE:
-            pending.append(_Leaf(rect, count, depth))
+        if count == 1 or max(re_hi - re_lo, im_hi - im_lo) <= _LEAF_SIZE:
+            pending.append(leaf)
             return
         for half, cnt in split(rect, count):
             subdivide(half, cnt, depth + 1)
 
-    for (a, b), cnt in zip(zip(cuts[:-1], cuts[1:]), counts):
-        subdivide((a, b, outer[2], outer[3]), cnt)
-
-    roots: list[list] = []  # [lam, mult, residual, owning leaf]
-
-    def found(leaf):
-        return sum(
-            m
-            for lam, m, _, owner in roots
-            if owner is leaf or leaf.contains(lam, 1e-9)
-        )
+    square = (-R, R, -R, R)
+    subdivide(square, count_zeros(cache, square))
 
     def accept(leaf, lam, residual):
-        """Record a Newton result that lands in ``leaf``; return the root
-        if it still needs a multiple-root polish."""
+        """Record a Newton result that lands in ``leaf`` and is new."""
 
         re_lo, re_hi, im_lo, im_hi = leaf.rect
-        if not leaf.contains(lam, 1e-7 * (1.0 + max(re_hi - re_lo, im_hi - im_lo))):
-            return None
-        if any(abs(lam - r[0]) < 2e-5 * (1 + abs(lam)) for r in roots):
-            return None
-        if leaf.count == 1:
-            # the leaf winding already pins the zero order
-            mult = 1
-        else:
-            radius = min(0.02 * (1 + abs(lam)) ** 0.25, 0.45 * _LEAF_SIZE)
-            try:
-                mult = multiplicity_probe(cache, lam, radius, check_shrink=False)
-            except ZeroOnContour:
-                mult = multiplicity_probe(cache, lam, radius * 1.37, check_shrink=False)
-            if mult == 0:
-                return None
-        root = [lam, mult, residual, leaf]
-        roots.append(root)
-        return root if mult > 1 else None
+        inside = leaf.contains(lam, 1e-7 * (1.0 + max(re_hi - re_lo, im_hi - im_lo)))
+        if inside and not any(abs(lam - r[0]) < 2e-5 * (1 + abs(lam)) for r in roots):
+            # a leaf that holds one zero pins its order
+            mult = 1 if leaf.count == 1 else _multiplicity(cache, lam)
+            if mult > 0:
+                roots.append([lam, mult, residual, leaf])
 
     # Every Newton round polishes the unresolved leaves in one batched solve:
     # one start per zero not yet found, the starts of one leaf deflating
@@ -466,45 +493,19 @@ def find_eigenvalues(
         todo = [(i, z) for i, leaf in enumerate(pending)
                 for z in leaf.starts(leaf.count - found(leaf))]
         lams, residuals = _polish(problem, [z for _, z in todo], groups=[i for i, _ in todo])
-        multiple = []
+        new = len(roots)
         for (i, _), lam, residual in zip(todo, lams, residuals):
-            leaf = pending[i]
-            if found(leaf) < leaf.count:
-                root = accept(leaf, lam, residual)
-                if root is not None:
-                    multiple.append(root)
-        if multiple:
-            lams, _ = _polish(
-                problem, [r[0] for r in multiple], [r[1] for r in multiple], maxit=10
-            )
-            for root, lam in zip(multiple, lams):
-                root[0] = lam
+            if found(pending[i]) < pending[i].count:
+                accept(pending[i], lam, residual)
+        _polish_multiple(problem, roots[new:])
         unresolved = [leaf for leaf in pending if found(leaf) != leaf.count]
         pending = []
         for leaf in unresolved:
             re_lo, re_hi, im_lo, im_hi = leaf.rect
             if max(re_hi - re_lo, im_hi - im_lo) <= 1e-3 or leaf.depth > 40:
-                raise RuntimeError(
-                    f"leaf {leaf.rect}: could not resolve {leaf.count} zeros"
-                )
+                raise RuntimeError(f"leaf {leaf.rect}: could not resolve {leaf.count} zeros")
             for half, cnt in split(leaf.rect, leaf.count):
                 subdivide(half, cnt, leaf.depth + 1)
-
-    records = []
-    for lam, mult, residual, _ in roots:
-        if abs(lam) >= B:
-            continue
-        if mult > 1:
-            sample = char_delta(problem, lam, nu_max=mult)
-            scale = abs(sample.ddelta[mult].val) + 1e-300
-            residual = (abs(sample.delta.val) / scale) ** (1.0 / mult)
-        records.append(EigenRecord(lam=lam, multiplicity=mult, residual=residual))
-    records.sort(key=lambda r: (abs(r.lam), r.lam.real))
-    total_inside = sum(r.multiplicity for r in records)
-    outside = sum(r[1] for r in roots if abs(r[0]) >= B)
-    if total_inside + outside != total:
-        raise RuntimeError("lost track of zeros during refinement")
-    return records
 
 
 def find_dirichlet_eigenvalues(problem: Problem, modulus_bound: float, **kw):

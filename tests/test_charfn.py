@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sturmdisc.charfn import (
@@ -82,6 +82,10 @@ class TestConsistency:
         assert delta_consistency(problem, lam) < 1e-8
 
     @given(consistency_setups())
+    # two draws on which the strip search raised: one for a split whose
+    # halves did not add up, one for slices that missed a root
+    @example((Problem(q="0", h=-0.5, H=0.0, beta=2.0, d=2.0), 0j))
+    @example((Problem(q="0", h=0.0, H=-0.5j, beta=2.0, d=2.5), 0j))
     @settings(max_examples=6, deadline=None)
     def test_derivative_identity_at_random_roots(self, setup):
         problem, _ = setup

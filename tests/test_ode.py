@@ -9,7 +9,7 @@ import pkgutil
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from test_charfn import consistency_setups, free_jump_scaled
@@ -716,6 +716,23 @@ class TestMagnusKernel:
         st.lists(st.floats(0.01, PI - 0.01), min_size=1, max_size=4, unique=True),
         st.sampled_from(["left", "right"]),
         st.integers(0, 2),
+    )
+    # d a rounding step from a break of q: the walk once jumped at both
+    @example(
+        (
+            Problem(
+                q=PotentialExpr([Piece(lo, hi, Const(0j)) for lo, hi in ((0.0, 0.3), (0.3, 0.5), (0.5, PI))]),
+                H=None,
+                gamma=1j,
+                d=0.1 + 0.2,
+            ),
+            [0.0, 0.3, 0.5],
+            [0j, 0j, 0j],
+            [1.0 + 0j] * 3,
+        ),
+        [1.0],
+        "left",
+        0,
     )
     @settings(max_examples=30, deadline=None)
     def test_reads_exact_on_piecewise_constant_q(self, setup, xs, side, nu_max):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from test_charfn import consistency_setups, free_jump_scaled
 
@@ -122,10 +122,10 @@ class TestClassicalSpectra:
 
 class TestNewtonRounds:
     def test_floor_leaf_with_two_simple_zeros_takes_one_round(self, monkeypatch):
-        # 0.117+0.295i and 0.976+0.196i share a leaf at the size floor; its
-        # two starts deflate each other, so one batched round finds all
-        # seven roots, where plain Newton from the leaf centre took four
-        # rounds and 25 one-lambda solves
+        # 0.117+0.295i and 0.976+0.196i lie 0.87 apart, next to the seeds 0
+        # and 1; the seeds deflate each other, so one batched round finds all
+        # seven roots, where plain Newton from the centre of their shared
+        # leaf took four rounds and 25 one-lambda solves
         rounds = []
         polish = spectrum._polish
 
@@ -202,8 +202,8 @@ class TestComplexPotential:
 
     def test_two_roots_of_one_slice_need_no_lone_newton_walk(self, monkeypatch):
         # the problem of acceptance criterion 04; the roots 1.721 + 0.098i and
-        # 4.803 + 0.112i share one sqrt-spaced slice, and a Newton walk from
-        # its middle took 46 solves that no other leaf shared
+        # 4.803 + 0.112i once shared one sqrt-spaced slice, and a Newton walk
+        # from its middle took 46 solves that no other leaf shared
         sizes = newton_batch_sizes(monkeypatch)
         p = Problem(
             q=PotentialExpr.parse("sin(x) + 0.2i*cos(2*x)"),
@@ -221,19 +221,19 @@ class TestComplexPotential:
 
 class TestDiscContract:
     @given(consistency_setups())
+    # a 16-gon of radius 40 aliased a turn and counted 6 of these 7 zeros
+    @example((Problem(q="-1.875", H=None, beta=1.125, gamma=1j, d=0.375), 0j))
     @settings(max_examples=8, deadline=None)
     def test_circle_winding_equals_returned_multiplicities(self, setup):
         problem, _ = setup
-        B = 40.0
-        # the default box reaches |Im lam| = B + 1 < im_halfwidth = 50, so it
-        # covers the whole disc |lam| < B
         f = spectrum._problem_batch(problem, spectrum._COUNT_TOL)
-        try:
-            winding = multiplicity_probe(f, 0.0, B, check_shrink=False)
-        except ZeroOnContour:
-            reject()
-        records = find_eigenvalues(problem, B)
-        assert sum(r.multiplicity for r in records) == winding
+        for B in (40.0, 150.0):
+            try:
+                winding = multiplicity_probe(f, 0.0, B, check_shrink=False)
+            except ZeroOnContour:
+                reject()
+            records = find_eigenvalues(problem, B)
+            assert sum(r.multiplicity for r in records) == winding
 
 
 class TestZeroSequence:
@@ -340,26 +340,16 @@ class TestMultipleEigenvalue:
     def test_double_root_among_simple_ones(self):
         assert_double_root_among_simple_ones(find_eigenvalues(free(h=2j, H=-2j), 30.0))
 
-    def test_double_root_when_every_slice_is_split(self, monkeypatch):
-        # a leaf at depth 0 (a slice) that contains no point owns no root,
-        # so every slice is split, and the box midline passes the double
-        # zero 4 on the real axis
-        contains = spectrum._Leaf.contains
-        monkeypatch.setattr(
-            spectrum._Leaf,
-            "contains",
-            lambda leaf, z, margin: leaf.depth > 0 and contains(leaf, z, margin),
-        )
+    def test_double_root_from_the_square_alone(self, monkeypatch):
+        # with no seed, the subdivision of the circle's bounding square finds
+        # every root; its cut along the real axis passes the double zero 4
+        monkeypatch.setattr(spectrum, "_seeds", lambda problem, bound: np.zeros(0))
         assert_double_root_among_simple_ones(find_eigenvalues(free(h=2j, H=-2j), 30.0))
 
 
 class TestSearchBox:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the search box is clipped to |Im lam| <= im_halfwidth, so an "
-        "eigenvalue with |lam| < B outside that strip is missed",
-    )
     def test_finds_eigenvalue_far_off_the_real_axis(self):
+        # no seed reaches it, so the square's subdivision must find it
         # lam = -h^2 = 28 - 96i is an eigenvalue with |lam| = 100
         records = find_eigenvalues(free(h=-6 - 8j), 150.0)
         assert min(abs(r.lam - (28 - 96j)) for r in records) < 1e-6
