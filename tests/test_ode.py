@@ -839,6 +839,9 @@ class TestMagnusKernel:
         st.floats(-5.0, 5.0), st.integers(1, 4), st.floats(-5.0, 5.0),
         st.floats(0.0, 4.0), st.floats(-PI, PI), complex_in(-1.0, 1.0),
     )
+    # at lam = 1 the step rule settled within tol but 6.6e-11 off, against
+    # the bound 3.6e-11; the Richardson value of the last step pair is not
+    @example(4.0, 4, 0.0, 0.0, 0.0, 0j)
     @settings(max_examples=25, deadline=None)
     def test_smooth_q_matches_dop853(self, a, k, c, decade, angle, h):
         p = Problem(q="%.4f * sin(%d * x) + %.4f" % (a, k, c), h=h, H=0.3, beta=1.5,
